@@ -60,9 +60,6 @@ pub struct WorldConfig {
     /// uniform `db_latency`. Lets a bench charge reads and scans a
     /// round-trip while keeping bulk population writes free.
     pub db_latency_model: Option<LatencyModel>,
-    /// Build the metastore on the legacy flat name index (no tree
-    /// index), the before-migration layout benches compare against.
-    pub legacy_layout: bool,
 }
 
 impl Default for WorldConfig {
@@ -78,7 +75,6 @@ impl Default for WorldConfig {
             obs: Obs::disabled(),
             tenant_labels: true,
             db_latency_model: None,
-            legacy_layout: false,
         }
     }
 }
@@ -112,7 +108,6 @@ impl World {
             sts_mint_cost: cfg.sts_mint_cost,
             obs: cfg.obs.clone(),
             tenant_labels: cfg.tenant_labels,
-            start_legacy_layout: cfg.legacy_layout,
             ..Default::default()
         };
         let uc = UnityCatalog::new(db.clone(), store.clone(), uc_config, "node-0");

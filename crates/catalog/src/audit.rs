@@ -108,7 +108,6 @@ pub const KNOWN_OPS: &[(&str, &[&str])] = &[
     ("query_share_table", &["queryShare", "queryShareTable"]),
     ("query_share_table_as_iceberg", &["queryShare"]),
     ("read_table_commit", &["readTableCommit"]),
-    ("rebuild_tree_index", &["rebuildTreeIndex"]),
     ("rename_securable", &["renameSecurable"]),
     ("renew_read_credential", &["renewTemporaryCredentials"]),
     ("resolve_batch", &["resolveBatch"]),

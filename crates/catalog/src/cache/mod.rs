@@ -66,7 +66,7 @@ use uc_txdb::{ChangeRecord, Db};
 
 use crate::ids::Uid;
 use crate::model::entity::Entity;
-use crate::model::keys::{self, T_ENTITY, T_MSVER, T_NAME, T_PATH, T_TREE};
+use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PATH, T_TREE};
 
 /// How many superseded versions of an entry to retain for in-flight reads.
 const VERSION_WINDOW: usize = 4;
@@ -164,12 +164,10 @@ impl CacheStats {
 struct CachedEntry {
     versions: Vec<(u64, Option<Arc<Entity>>)>,
     /// Keys to clean from the secondary maps on eviction.
-    name_key: String,
     path_key: Option<String>,
-    /// Tree-encoded ancestor-chain key (DESIGN.md §11), kept in the name
-    /// index alongside legacy name keys — the two key shapes cannot
-    /// collide (tree keys contain segment terminators, name keys never
-    /// do), so they share shards without a fourth index.
+    /// The entity's name-index key — its tree key (DESIGN.md §11) — once
+    /// a by-name read or a write has installed it. By-id installs know no
+    /// tree key and add no name mapping.
     tree_key: Option<String>,
     /// Atomic so the hit path can bump recency under a shard *read* lock.
     last_access: AtomicU64,
@@ -178,7 +176,7 @@ struct CachedEntry {
 /// FNV-1a, used for both shard selection and the shard maps themselves.
 /// The cache is in-process and never hashes attacker-controlled keys at
 /// scale, so a cheap non-keyed hash beats SipHash's per-byte cost on the
-/// ~70-byte name keys every cached lookup hashes.
+/// tree keys every cached lookup hashes.
 pub(crate) struct Fnv1a(u64);
 
 impl Default for Fnv1a {
@@ -345,10 +343,11 @@ impl MsCache {
         }
     }
 
-    /// Look up by name-index key, valid at the cache's current version.
-    pub fn id_by_name(&self, name_key: &str) -> Option<Uid> {
+    /// Look up by name (the entity's tree key), valid at the cache's
+    /// current version.
+    pub fn id_by_name(&self, tree_key: &str) -> Option<Uid> {
         // uc-lint: allow(hotpath) -- hot name-index probe: shard read lock, same discipline as get_at
-        self.name_shard(name_key).read().get(name_key).cloned()
+        self.name_shard(tree_key).read().get(tree_key).cloned()
     }
 
     /// Look up by path-index key.
@@ -357,18 +356,18 @@ impl MsCache {
     }
 
     /// Insert (or update) an entity at a version, maintaining secondary
-    /// keys and trimming the version window. Caller holds the write gate.
+    /// keys and trimming the version window. `tree_key` is the entity's
+    /// name-index key when the caller knows it (by-name reads, writes);
+    /// by-id installs pass `None`. Caller holds the write gate.
     pub fn insert(
         &self,
         entity: Arc<Entity>,
         at_version: u64,
-        name_key: String,
         path_key: Option<String>,
         tree_key: Option<String>,
     ) {
         let tick = self.next_tick();
         let id = entity.id.clone();
-        self.name_shard(&name_key).write().insert(name_key.clone(), id.clone());
         if let Some(pk) = &path_key {
             self.path_shard(pk).write().insert(pk.clone(), id.clone());
         }
@@ -381,16 +380,14 @@ impl MsCache {
                 self.len.fetch_add(1, Ordering::Relaxed);
                 CachedEntry {
                     versions: Vec::new(),
-                    name_key: name_key.clone(),
                     path_key: path_key.clone(),
                     tree_key: tree_key.clone(),
                     last_access: AtomicU64::new(tick),
                 }
             });
-            entry.name_key = name_key;
             entry.path_key = path_key;
-            // An install that did not resolve the tree key (legacy lookup
-            // path) must not orphan a mapping a previous install recorded.
+            // A by-id install must not orphan the mapping a by-name
+            // install recorded.
             if tree_key.is_some() {
                 entry.tree_key = tree_key;
             }
@@ -411,21 +408,20 @@ impl MsCache {
             let Some(entry) = shard.get_mut(id) else { return };
             entry.last_access.store(tick, Ordering::Relaxed);
             push_version(&mut entry.versions, at_version, None);
-            (entry.name_key.clone(), entry.path_key.clone(), entry.tree_key.clone())
+            (entry.path_key.clone(), entry.tree_key.clone())
         };
-        self.name_shard(&keys.0).write().remove(&keys.0);
-        if let Some(pk) = &keys.1 {
+        if let Some(pk) = &keys.0 {
             self.path_shard(pk).write().remove(pk);
         }
-        if let Some(tk) = &keys.2 {
+        if let Some(tk) = &keys.1 {
             self.name_shard(tk).write().remove(tk);
         }
     }
 
-    /// Drop a name-index mapping (a rename freed the key). Caller holds
-    /// the write gate.
-    pub fn remove_name_mapping(&self, name_key: &str) {
-        self.name_shard(name_key).write().remove(name_key);
+    /// Drop a name-index mapping (a rename or drop freed the tree key).
+    /// Caller holds the write gate.
+    pub fn remove_name_mapping(&self, tree_key: &str) {
+        self.name_shard(tree_key).write().remove(tree_key);
     }
 
     /// Batch-evict the least recently used ~10% beyond the cap. Caller
@@ -445,7 +441,6 @@ impl MsCache {
             let removed = self.entity_shards[shard_idx].write().remove(&id);
             if let Some(entry) = removed {
                 self.len.fetch_sub(1, Ordering::Relaxed);
-                self.name_shard(&entry.name_key).write().remove(&entry.name_key);
                 if let Some(pk) = &entry.path_key {
                     self.path_shard(pk).write().remove(pk);
                 }
@@ -496,7 +491,6 @@ impl MsCache {
                         let removed = self.entity_shard(&id).write().remove(&id);
                         if let Some(entry) = removed {
                             self.len.fetch_sub(1, Ordering::Relaxed);
-                            self.name_shard(&entry.name_key).write().remove(&entry.name_key);
                             if let Some(pk) = &entry.path_key {
                                 self.path_shard(pk).write().remove(pk);
                             }
@@ -507,12 +501,7 @@ impl MsCache {
                         }
                     }
                 }
-                T_NAME
-                    if change.key.starts_with(&ent_prefix) => {
-                        self.name_shard(&change.key).write().remove(&change.key);
-                    }
-                // Tree-index keys live in the name shards (disjoint key
-                // shapes); a touched tree row invalidates its mapping.
+                // A touched tree row invalidates its name mapping.
                 T_TREE
                     if change.key.starts_with(&tree_prefix) => {
                         self.name_shard(&change.key).write().remove(&change.key);
@@ -684,8 +673,13 @@ mod tests {
         (MsCache::new(4, max_entries, stats.clone()), stats)
     }
 
+    /// A stand-in tree key for `name`.
+    fn tk(name: &str) -> String {
+        format!("tk\u{1}{name}\u{1}")
+    }
+
     fn insert(cache: &MsCache, id: &str, name: &str, ver: u64) {
-        cache.insert(entity(id, name), ver, format!("nk/{name}"), None, None);
+        cache.insert(entity(id, name), ver, None, Some(tk(name)));
     }
 
     #[test]
@@ -707,12 +701,12 @@ mod tests {
     fn tombstone_hides_entity_and_unlinks_names() {
         let (c, _) = cache_with(1000);
         insert(&c, "e1", "t", 1);
-        assert!(c.id_by_name("nk/t").is_some());
+        assert!(c.id_by_name(&tk("t")).is_some());
         c.insert_tombstone(&Uid::from("e1"), 2);
         assert_eq!(c.get_at(&Uid::from("e1"), 2), Some(None));
         // old version still readable for in-flight requests
         assert!(c.get_at(&Uid::from("e1"), 1).unwrap().is_some());
-        assert!(c.id_by_name("nk/t").is_none());
+        assert!(c.id_by_name(&tk("t")).is_none());
     }
 
     #[test]
@@ -766,8 +760,8 @@ mod tests {
         c.reconcile_selective(&ms, 2, 2, &changes);
         assert!(c.get_at(&Uid::from("e1"), 2).is_none(), "touched entry dropped");
         assert!(c.get_at(&Uid::from("e2"), 1).is_some(), "untouched entry kept");
-        assert!(c.id_by_name("nk/a").is_none());
-        assert!(c.id_by_name("nk/b").is_some());
+        assert!(c.id_by_name(&tk("a")).is_none());
+        assert!(c.id_by_name(&tk("b")).is_some());
         assert_eq!(stats.invalidations.get(), 1);
     }
 
@@ -794,9 +788,8 @@ mod tests {
             c.insert(
                 entity(&format!("e{i}"), &format!("n{i}")),
                 1,
-                format!("nk/n{i}"),
                 Some(format!("pk/p{i}")),
-                Some(format!("tk\u{1}n{i}\u{1}")),
+                Some(tk(&format!("n{i}"))),
             );
         }
         assert!(c.entry_count() <= 11, "cap 10 plus slack, got {}", c.entry_count());
@@ -807,9 +800,8 @@ mod tests {
             .collect::<Vec<_>>();
         assert!(!evicted.is_empty());
         for i in evicted {
-            assert!(c.id_by_name(&format!("nk/n{i}")).is_none());
+            assert!(c.id_by_name(&tk(&format!("n{i}"))).is_none());
             assert!(c.id_by_path(&format!("pk/p{i}")).is_none());
-            assert!(c.id_by_name(&format!("tk\u{1}n{i}\u{1}")).is_none());
         }
     }
 
@@ -823,9 +815,8 @@ mod tests {
             c.insert(
                 entity(&format!("e{i}"), &format!("n{i}")),
                 1,
-                format!("nk/n{i}"),
                 Some(format!("pk/p{i}")),
-                None,
+                Some(tk(&format!("n{i}"))),
             );
         }
         // Touch a subset spread across shards (4 shards; ids hash apart),
@@ -843,7 +834,7 @@ mod tests {
                 c.get_at(&Uid::from(format!("e{i}").as_str()), 1).is_some(),
                 "recently touched e{i} must survive eviction"
             );
-            assert!(c.id_by_name(&format!("nk/n{i}")).is_some());
+            assert!(c.id_by_name(&tk(&format!("n{i}"))).is_some());
         }
         // Every evicted entry must be globally older than every survivor
         // was at eviction time — i.e. all victims come from the untouched
@@ -854,7 +845,7 @@ mod tests {
         assert!(!evicted.is_empty(), "inserting past the cap must evict");
         for i in &evicted {
             assert!(!touched.contains(i), "touched e{i} evicted before older entries");
-            assert!(c.id_by_name(&format!("nk/n{i}")).is_none());
+            assert!(c.id_by_name(&tk(&format!("n{i}"))).is_none());
             assert!(c.id_by_path(&format!("pk/p{i}")).is_none());
         }
         // The newest inserts are by definition the most recent ticks.
@@ -879,7 +870,6 @@ mod tests {
                     c.insert(
                         entity(&format!("w{v}"), &format!("wn{v}")),
                         v,
-                        format!("nk/wn{v}"),
                         Some(format!("pk/wp{v}")),
                         None,
                     );

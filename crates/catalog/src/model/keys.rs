@@ -3,33 +3,32 @@
 //! Every key is prefixed by the metastore id, so (a) all operations are
 //! naturally metastore-scoped, and (b) the cache can filter the database
 //! change log down to one metastore by key prefix during reconciliation.
+//!
+//! The namespace has one name index, [`T_TREE`]; [`T_ENTITY`] is the
+//! by-id home of the same rows (DESIGN.md §11).
 
 use crate::ids::Uid;
 use crate::model::treekey;
 
-/// Entities by id: `{ms}/{id}` → Entity JSON.
+/// Entities by id: `{ms}/{id}` → Entity JSON. Holds every entity,
+/// soft-deleted ones included, and serves every by-id read (grants,
+/// commits, parent walks, drop-by-identity, purge, discovery).
 pub const T_ENTITY: &str = "ent";
-/// Name index: `{ms}/{parent}/{group}/{name}` → entity id.
-pub const T_NAME: &str = "name";
 /// Path index: tree-encoded `enc(ms).enc(path segments)` → entity id.
 /// Order-preserving, so overlap checks and nearest-covering-ancestor
 /// resolution are one range scan + one predecessor seek (see
 /// `model::paths` and DESIGN.md §11).
 pub const T_PATH: &str = "path";
-/// Tree-encoded hierarchy index: `enc(ms).enc(group:name)...` → the
-/// entity's JSON, byte-identical to its `T_ENTITY` row. All descendants
-/// of a node occupy one contiguous key range; the ancestor chain of a
-/// node is exactly the terminator-prefix chain of its key (one
-/// `scan_chain`). Maintained by `WriteEffects::upsert`; only *active*
-/// entities have tree rows (soft delete removes the row, freeing the
-/// name).
+/// The name index: tree-encoded `enc(ms).enc(group:name)...` → the
+/// entity's JSON, byte-identical to its `T_ENTITY` row. A by-name read
+/// is one point get that returns the entity itself; all descendants of a
+/// node occupy one contiguous key range; the ancestor chain of a node is
+/// exactly the terminator-prefix chain of its key (one `scan_chain`).
+/// Maintained by `WriteEffects::upsert`; only *active* entities have
+/// tree rows (soft delete removes the row, freeing the name). The
+/// metastore's own row sits at [`tree_ms_prefix`]; catalogs and
+/// metastore-level securables are its children.
 pub const T_TREE: &str = "tree";
-/// Tree-index build state: `{ms}` → `"building"` | `"ready"`. Governs
-/// writers only (dual-write while building or ready); readers use the
-/// presence of the metastore's own tree row as the readiness signal, so
-/// the fast path costs no extra read. Absent for metastores created on
-/// the legacy layout until `rebuild_tree_index` runs.
-pub const T_TREEMETA: &str = "treemeta";
 /// Metastore version: `{ms}` → decimal version.
 pub const T_MSVER: &str = "msver";
 /// Grants: `{ms}/{securable}/{principal}|{privilege}` → "1".
@@ -51,9 +50,6 @@ pub const T_COMMIT: &str = "commit";
 /// Share membership: `{ms}/{share}/{entity}` → alias.
 pub const T_SHAREMEM: &str = "sharemem";
 
-/// Sentinel parent for metastore-level objects in the name index.
-pub const ROOT_PARENT: &str = "root";
-
 pub fn ent_key(ms: &Uid, id: &Uid) -> String {
     format!("{ms}/{id}")
 }
@@ -61,36 +57,6 @@ pub fn ent_key(ms: &Uid, id: &Uid) -> String {
 /// Prefix of every entity row in a metastore.
 pub fn ent_ms_prefix(ms: &Uid) -> String {
     format!("{ms}/")
-}
-
-pub fn name_key(ms: &Uid, parent: Option<&Uid>, group: &str, name: &str) -> String {
-    let ms = ms.as_str();
-    let parent = parent.map(|p| p.as_str()).unwrap_or(ROOT_PARENT);
-    // Names are case-insensitive in SQL identifiers; normalize to lowercase.
-    // Built by hand into one pre-sized buffer: this runs on every cached
-    // name lookup, and `format!` with an intermediate `to_ascii_lowercase`
-    // would cost two allocations per call.
-    let mut key = String::with_capacity(ms.len() + parent.len() + group.len() + name.len() + 3);
-    key.push_str(ms);
-    key.push('/');
-    key.push_str(parent);
-    key.push('/');
-    key.push_str(group);
-    key.push('/');
-    key.extend(name.chars().map(|c| c.to_ascii_lowercase()));
-    key
-}
-
-/// Prefix listing all children of a parent (across groups).
-pub fn children_prefix(ms: &Uid, parent: Option<&Uid>) -> String {
-    let parent = parent.map(|p| p.as_str()).unwrap_or(ROOT_PARENT);
-    format!("{ms}/{parent}/")
-}
-
-/// Prefix listing children of a parent within one name group.
-pub fn children_group_prefix(ms: &Uid, parent: Option<&Uid>, group: &str) -> String {
-    let parent = parent.map(|p| p.as_str()).unwrap_or(ROOT_PARENT);
-    format!("{ms}/{parent}/{group}/")
 }
 
 // ---------------------------------------------------------------------
@@ -276,24 +242,22 @@ mod tests {
     }
 
     #[test]
-    fn name_keys_are_lowercased() {
-        let k = name_key(&uid("ms"), Some(&uid("p")), "relation", "Orders");
-        assert_eq!(k, "ms/p/relation/orders");
+    fn tree_keys_are_lowercased() {
+        let k = tree_key(&uid("ms"), &[("catalog", "Main"), ("schema", "S"), ("relation", "Orders")]);
+        assert_eq!(k, tree_key(&uid("ms"), &[("catalog", "main"), ("schema", "s"), ("relation", "orders")]));
     }
 
     #[test]
-    fn root_parent_sentinel() {
-        let k = name_key(&uid("ms"), None, "catalog", "main");
-        assert_eq!(k, "ms/root/catalog/main");
-        assert!(k.starts_with(&children_prefix(&uid("ms"), None)));
-    }
-
-    #[test]
-    fn children_prefix_covers_group_prefix() {
+    fn top_level_objects_are_children_of_the_metastore_root() {
         let ms = uid("ms");
-        let p = uid("parent");
-        let group = children_group_prefix(&ms, Some(&p), "relation");
-        assert!(group.starts_with(&children_prefix(&ms, Some(&p))));
+        let root = tree_ms_prefix(&ms);
+        let catalog = tree_key(&ms, &[("catalog", "main")]);
+        let share = tree_key(&ms, &[("share", "main")]);
+        for k in [&catalog, &share] {
+            assert!(k.starts_with(&root));
+            assert_eq!(treekey::chain_prefixes(k).count(), 2, "one segment below the root");
+        }
+        assert_ne!(catalog, share, "groups keep same-named siblings apart");
     }
 
     #[test]

@@ -11,11 +11,10 @@ use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::{props, Entity};
-use crate::model::keys::{self, T_COMMIT, T_ENTITY, T_NAME, T_TREE};
+use crate::model::keys::{self, T_COMMIT, T_ENTITY, T_TREE};
 use crate::model::manifest::manifest;
 use crate::model::paths;
-use crate::model::treekey;
-use crate::service::{Context, UnityCatalog, WriteEffects};
+use crate::service::{claim_name, Context, UnityCatalog, WriteEffects};
 use crate::types::{
     validate_object_name, FullName, LifecycleState, SecurableKind, TableFormat, TableType,
 };
@@ -85,16 +84,7 @@ impl UnityCatalog {
         // any telemetry emitted for this metastore from here on renders
         // the name, never the random uid.
         self.register_tenant_alias(&ms, name);
-        let legacy = self.config.start_legacy_layout;
         self.write_ms(&ms, |tx, _ver, fx| {
-            // Born tree-ready: the marker makes this same upsert (and every
-            // later write) maintain the tree index, and the metastore's own
-            // tree row — the readers' readiness signal — is written by the
-            // upsert itself. The legacy knob skips both so tests can
-            // exercise `rebuild_tree_index`.
-            if !legacy {
-                tx.put(keys::T_TREEMETA, ms.as_str(), bytes::Bytes::from_static(b"ready"));
-            }
             fx.upsert(tx, ent.clone(), ChangeOp::Create)?;
             Ok(())
         })?;
@@ -176,10 +166,6 @@ impl UnityCatalog {
         let bucket = root.bucket.clone();
         let secret = root.secret;
         let created = self.write_ms(&ms.clone(), |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(ms), SecurableKind::StorageCredential.name_group(), name);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(name.to_string()));
-            }
             let mut ent = Entity::new(
                 SecurableKind::StorageCredential,
                 name,
@@ -188,10 +174,11 @@ impl UnityCatalog {
                 &ctx.principal,
                 now,
             );
+            let tk = claim_name(tx, &ent, name)?;
             ent.properties.insert(props::BUCKET.to_string(), bucket.clone());
             ent.properties.insert(props::ROOT_SECRET.to_string(), secret.to_string());
             (manifest(ent.kind).validate)(&ent)?;
-            fx.upsert(tx, ent, ChangeOp::Create)
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.roots.write().insert(root.bucket.clone(), root.clone());
         self.record_audit(&ctx.principal, "createStorageCredential", Some(&created.id), AuditDecision::Allow, name);
@@ -224,9 +211,9 @@ impl UnityCatalog {
         }
         // The credential must exist and cover the bucket.
         let cred = self
-            .entity_by_name_key(
+            .entity_by_tree_key(
                 ms,
-                &keys::name_key(ms, Some(ms), SecurableKind::StorageCredential.name_group(), credential_name),
+                &keys::tree_key(ms, &[(SecurableKind::StorageCredential.name_group(), credential_name)]),
             )?
             .ok_or_else(|| UcError::NotFound(format!("storage credential {credential_name}")))?;
         if cred.properties.get(props::BUCKET).map(|b| b.as_str()) != Some(parsed.bucket()) {
@@ -237,29 +224,6 @@ impl UnityCatalog {
         }
         let now = self.now_ms();
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(ms), SecurableKind::ExternalLocation.name_group(), name);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(name.to_string()));
-            }
-            // Overlap check against existing external locations (small set;
-            // the scan is in the transaction's validated read set).
-            let prefix = keys::children_group_prefix(ms, Some(ms), SecurableKind::ExternalLocation.name_group());
-            for (_, id_raw) in tx.scan_prefix(T_NAME, &prefix) {
-                let id = Uid::from_string(String::from_utf8(id_raw.to_vec()).unwrap_or_default());
-                if let Some(raw) = tx.get(T_ENTITY, &keys::ent_key(ms, &id)) {
-                    let other = Entity::decode(&raw)?;
-                    if let Some(op) = &other.storage_path {
-                        if let Ok(op) = StoragePath::parse(op) {
-                            if op.overlaps(&parsed) {
-                                return Err(UcError::PathConflict {
-                                    requested: parsed.to_string(),
-                                    existing: op.to_string(),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
             let mut ent = Entity::new(
                 SecurableKind::ExternalLocation,
                 name,
@@ -268,10 +232,24 @@ impl UnityCatalog {
                 &ctx.principal,
                 now,
             );
+            let tk = claim_name(tx, &ent, name)?;
+            // Overlap check against existing external locations (small set;
+            // the scan is in the transaction's validated read set).
+            for (_, raw) in tx.scan_prefix(T_TREE, &Self::ext_location_prefix(ms)) {
+                let other = Entity::decode(&raw)?;
+                if let Some(op) = other.storage_path.as_ref().and_then(|p| StoragePath::parse(p).ok()) {
+                    if op.overlaps(&parsed) {
+                        return Err(UcError::PathConflict {
+                            requested: parsed.to_string(),
+                            existing: op.to_string(),
+                        });
+                    }
+                }
+            }
             ent.storage_path = Some(parsed.to_string());
             ent.properties.insert("credential".to_string(), credential_name.to_string());
             (manifest(ent.kind).validate)(&ent)?;
-            fx.upsert(tx, ent, ChangeOp::Create)
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createExternalLocation", Some(&created.id), AuditDecision::Allow, path);
         Ok(created)
@@ -294,12 +272,9 @@ impl UnityCatalog {
         }
         let now = self.now_ms();
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, None, SecurableKind::Catalog.name_group(), name);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(name.to_string()));
-            }
             let ent = Entity::new(SecurableKind::Catalog, name, None, ms.clone(), &ctx.principal, now);
-            fx.upsert(tx, ent, ChangeOp::Create)
+            let tk = claim_name(tx, &ent, name)?;
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createCatalog", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -322,12 +297,9 @@ impl UnityCatalog {
         let parent = chain[0].id.clone();
         let now = self.now_ms();
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(&parent), SecurableKind::Schema.name_group(), name);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(format!("{catalog}.{name}")));
-            }
             let ent = Entity::new(SecurableKind::Schema, name, Some(parent.clone()), ms.clone(), &ctx.principal, now);
-            fx.upsert(tx, ent, ChangeOp::Create)
+            let tk = claim_name(tx, &ent, format_args!("{catalog}.{name}"))?;
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createSchema", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -418,10 +390,8 @@ impl UnityCatalog {
             return Ok(());
         }
         let rt = self.db.begin_read();
-        let prefix = keys::children_group_prefix(ms, Some(ms), SecurableKind::ExternalLocation.name_group());
-        for (_, id_raw) in rt.scan_prefix(T_NAME, &prefix) {
-            let id = Uid::from_string(String::from_utf8(id_raw.to_vec()).unwrap_or_default());
-            let Some(loc) = self.entity_by_id(ms, &id)? else { continue };
+        for (_, raw) in rt.scan_prefix(T_TREE, &Self::ext_location_prefix(ms)) {
+            let loc = Arc::new(Entity::decode(&raw)?);
             let Some(loc_path) = loc.storage_path.as_ref().and_then(|p| StoragePath::parse(p).ok())
             else {
                 continue;
@@ -446,6 +416,11 @@ impl UnityCatalog {
         Err(UcError::PermissionDenied(format!(
             "no external location covers {path}"
         )))
+    }
+
+    /// Tree-key prefix of every external location in a metastore.
+    fn ext_location_prefix(ms: &Uid) -> String {
+        keys::tree_group_prefix(&keys::tree_ms_prefix(ms), SecurableKind::ExternalLocation.name_group())
     }
 
     /// Create a table (managed or external or foreign).
@@ -490,10 +465,6 @@ impl UnityCatalog {
             if !live_parent {
                 return Err(UcError::NotFound(spec.name.to_string()));
             }
-            let nk = keys::name_key(ms, Some(&schema_ent.id), SecurableKind::Table.name_group(), &leaf);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(spec.name.to_string()));
-            }
             let mut ent = Entity::new(
                 SecurableKind::Table,
                 &leaf,
@@ -502,6 +473,7 @@ impl UnityCatalog {
                 &ctx.principal,
                 now,
             );
+            let tk = claim_name(tx, &ent, &spec.name)?;
             ent.set_table_schema(&spec.columns);
             ent.properties.insert(props::TABLE_TYPE.to_string(), spec.table_type.as_str().to_string());
             ent.properties.insert(props::FORMAT.to_string(), spec.format.as_str().to_string());
@@ -518,7 +490,7 @@ impl UnityCatalog {
                 ent.storage_path = Some(path.to_string());
             }
             (manifest(ent.kind).validate)(&ent)?;
-            fx.upsert(tx, ent, ChangeOp::Create)
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createTable", Some(&created.id), AuditDecision::Allow, spec.name);
         Ok(created)
@@ -529,7 +501,7 @@ impl UnityCatalog {
     /// chunked transactions of about `chunk` assets each — the
     /// Record-Layer-style bulk load that makes 10⁵–10⁷-asset populations
     /// practical to build. Each chunk is one serializable commit with
-    /// full write-through (name index, tree index, cache, events);
+    /// full write-through (entity rows, tree index, cache, events);
     /// per-row cost is amortized by resolving each schema container once
     /// per chunk (one existence read plus one children scan for
     /// duplicate detection) instead of per table. Tables are created as
@@ -585,11 +557,8 @@ impl UnityCatalog {
                         return Err(UcError::NotFound(catalog.to_string()));
                     }
                     let mut n = 0usize;
-                    let snk = keys::name_key(ms, Some(&cat.id), SecurableKind::Schema.name_group(), &spec.name);
-                    let schema_id = match tx.get(T_NAME, &snk) {
-                        Some(raw) => Uid::from_string(
-                            String::from_utf8(raw.to_vec()).unwrap_or_default(),
-                        ),
+                    let schema_id = match tx.get(T_TREE, &schema_key) {
+                        Some(raw) => Entity::decode(&raw)?.id,
                         None => {
                             let ent = Entity::new(
                                 SecurableKind::Schema,
@@ -599,27 +568,24 @@ impl UnityCatalog {
                                 &ctx.principal,
                                 now,
                             );
-                            let arc = fx.upsert_under(tx, ent, ChangeOp::Create, &cat_key);
                             n += 1;
-                            arc.id.clone()
+                            fx.upsert_at(tx, ent, ChangeOp::Create, schema_key.clone()).id.clone()
                         }
                     };
                     // One children scan dedups the whole chunk; inserting
                     // as we go also catches duplicates within the batch.
-                    let group_prefix = keys::children_group_prefix(
-                        ms,
-                        Some(&schema_id),
-                        SecurableKind::Table.name_group(),
-                    );
+                    let group_prefix =
+                        keys::tree_group_prefix(&schema_key, SecurableKind::Table.name_group());
                     let mut existing: std::collections::HashSet<String> = tx
-                        .scan_prefix(T_NAME, &group_prefix)
+                        .scan_prefix(T_TREE, &group_prefix)
                         .into_iter()
                         .map(|(k, _)| k)
                         .collect();
                     for t in batch {
                         validate_object_name(t)?;
-                        let nk = keys::name_key(ms, Some(&schema_id), SecurableKind::Table.name_group(), t);
-                        if !existing.insert(nk) {
+                        let mut tk = schema_key.clone();
+                        keys::tree_push_child(&mut tk, SecurableKind::Table.name_group(), t);
+                        if !existing.insert(tk.clone()) {
                             continue;
                         }
                         let mut ent = Entity::new(
@@ -640,7 +606,7 @@ impl UnityCatalog {
                             TableFormat::Delta.as_str().to_string(),
                         );
                         (manifest(ent.kind).validate)(&ent)?;
-                        fx.upsert_under(tx, ent, ChangeOp::Create, &schema_key);
+                        fx.upsert_at(tx, ent, ChangeOp::Create, tk);
                         n += 1;
                     }
                     Ok(n)
@@ -693,10 +659,6 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(&schema_ent.id), SecurableKind::Table.name_group(), &leaf);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(name.to_string()));
-            }
             let mut ent = Entity::new(
                 SecurableKind::Table,
                 &leaf,
@@ -705,6 +667,7 @@ impl UnityCatalog {
                 &ctx.principal,
                 now,
             );
+            let tk = claim_name(tx, &ent, name)?;
             ent.set_table_schema(&src.table_schema()?);
             ent.properties
                 .insert(props::TABLE_TYPE.to_string(), TableType::ShallowClone.as_str().to_string());
@@ -718,7 +681,7 @@ impl UnityCatalog {
             // through the resolved base dependency.
             ent.set_dependencies(std::slice::from_ref(&src.id));
             (manifest(ent.kind).validate)(&ent)?;
-            fx.upsert(tx, ent, ChangeOp::Create)
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createShallowClone", Some(&created.id), AuditDecision::Allow, format!("{source} -> {name}"));
         Ok(created)
@@ -756,10 +719,6 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(&schema_ent.id), SecurableKind::View.name_group(), &leaf);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(name.to_string()));
-            }
             let mut ent = Entity::new(
                 SecurableKind::View,
                 &leaf,
@@ -768,12 +727,13 @@ impl UnityCatalog {
                 &ctx.principal,
                 now,
             );
+            let tk = claim_name(tx, &ent, name)?;
             ent.set_table_schema(&columns);
             ent.properties.insert(props::TABLE_TYPE.to_string(), TableType::View.as_str().to_string());
             ent.properties.insert(props::VIEW_SQL.to_string(), view_sql.to_string());
             ent.set_dependencies(&dep_ids);
             (manifest(ent.kind).validate)(&ent)?;
-            fx.upsert(tx, ent, ChangeOp::Create)
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createView", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -797,10 +757,6 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(&schema_ent.id), SecurableKind::Volume.name_group(), &leaf);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(name.to_string()));
-            }
             let mut ent = Entity::new(
                 SecurableKind::Volume,
                 &leaf,
@@ -809,6 +765,7 @@ impl UnityCatalog {
                 &ctx.principal,
                 now,
             );
+            let tk = claim_name(tx, &ent, name)?;
             let path = match external_path {
                 Some(p) => StoragePath::parse(p).map_err(|e| UcError::InvalidArgument(e.to_string()))?,
                 None => self.managed_path(ms, SecurableKind::Volume, &ent.id)?,
@@ -820,7 +777,7 @@ impl UnityCatalog {
                 if external_path.is_some() { "EXTERNAL" } else { "MANAGED" }.to_string(),
             );
             (manifest(ent.kind).validate)(&ent)?;
-            fx.upsert(tx, ent, ChangeOp::Create)
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createVolume", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -840,10 +797,6 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(&schema_ent.id), SecurableKind::Function.name_group(), &leaf);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(name.to_string()));
-            }
             let mut ent = Entity::new(
                 SecurableKind::Function,
                 &leaf,
@@ -852,8 +805,9 @@ impl UnityCatalog {
                 &ctx.principal,
                 now,
             );
+            let tk = claim_name(tx, &ent, name)?;
             ent.properties.insert("body".to_string(), body.to_string());
-            fx.upsert(tx, ent, ChangeOp::Create)
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createFunction", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -872,10 +826,6 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(&schema_ent.id), SecurableKind::RegisteredModel.name_group(), &leaf);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(name.to_string()));
-            }
             let mut ent = Entity::new(
                 SecurableKind::RegisteredModel,
                 &leaf,
@@ -884,11 +834,12 @@ impl UnityCatalog {
                 &ctx.principal,
                 now,
             );
+            let tk = claim_name(tx, &ent, name)?;
             ent.properties.insert("next_version".to_string(), "1".to_string());
             let path = self.managed_path(ms, SecurableKind::RegisteredModel, &ent.id)?;
             paths::register_path(tx, ms, &path, &ent.id)?;
             ent.storage_path = Some(path.to_string());
-            fx.upsert(tx, ent, ChangeOp::Create)
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createRegisteredModel", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -994,22 +945,40 @@ impl UnityCatalog {
         self.get_securable(ctx, ms, &FullName::parse(name)?, "relation")
     }
 
-    /// List catalogs visible to the caller.
+    /// List catalogs visible to the caller: one child-only scan of the
+    /// metastore's catalog group (see [`Self::visible_children`]).
     pub fn list_catalogs(&self, ctx: &Context, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
         let _api = self.api_enter_t("list_catalogs", ctx, ms);
         let who = self.authz_context(ms, &ctx.principal)?;
+        let prefix = keys::tree_group_prefix(&keys::tree_ms_prefix(ms), SecurableKind::Catalog.name_group());
+        self.visible_children(ms, &who, &prefix)
+    }
+
+    /// The children under a tree-key `prefix` that `who` can see. One
+    /// child-only scan of the tree index returns every child *with its
+    /// full entity row* and skips everything deeper, so the cost is one
+    /// scan over O(children) keys. Every entity is decoded from the scan
+    /// itself, not read through the node cache: the cache may sit at a
+    /// different metastore version, and mixing the two yields a listing
+    /// no single version ever held (a concurrently updated child shows
+    /// its old state beside a concurrently created one). The history
+    /// checker flags such composite listings.
+    pub(crate) fn visible_children(
+        &self,
+        ms: &Uid,
+        who: &crate::authz::decision::AuthzContext,
+        prefix: &str,
+    ) -> UcResult<Vec<Arc<Entity>>> {
         let rt = self.db.begin_read();
-        let prefix = keys::children_group_prefix(ms, None, SecurableKind::Catalog.name_group());
         let mut out = Vec::new();
-        for (_, id_raw) in rt.scan_prefix(T_NAME, &prefix) {
-            let id = Uid::from_string(String::from_utf8(id_raw.to_vec()).unwrap_or_default());
-            if let Some(ent) = self.entity_by_id(ms, &id)? {
-                let full = self.chain_from_entity(ms, ent.clone())?;
-                if Self::authz_of(&full).can_see(&who) {
-                    out.push(ent);
-                }
+        for (_, raw) in rt.scan_children(T_TREE, prefix) {
+            let ent = Arc::new(Entity::decode(&raw)?);
+            let full = self.chain_from_entity(ms, ent.clone())?;
+            if Self::authz_of(&full).can_see(who) {
+                out.push(ent);
             }
         }
+        super::history_read_event(crate::cache::read_ms_version(&rt, ms));
         Ok(out)
     }
 
@@ -1029,64 +998,15 @@ impl UnityCatalog {
         let parent_full = self.chain_from_entity(ms, parent_ent.clone())?;
         self.enforce_workspace_binding(ctx, &parent_full)?;
         let who = self.authz_context(ms, &ctx.principal)?;
-        let rt = self.db.begin_read();
-        if rt.get(T_TREE, &keys::tree_ms_prefix(ms)).is_some() {
-            // Tree layout: one range scan of the parent's key range yields
-            // every child *with its full entity row* — no per-child point
-            // reads. The scan covers the whole subtree; children proper
-            // are selected by segment depth before decoding anything
-            // deeper (leaf-level parents, the hot case, have no deeper
-            // rows at all). The whole listing is read at the scan's own
-            // snapshot, so it reflects one metastore version.
-            let mut parent_key = keys::tree_ms_prefix(ms);
-            for e in parent_full.iter().rev() {
-                if e.kind == SecurableKind::Metastore {
-                    continue;
-                }
-                keys::tree_push_child(&mut parent_key, e.kind.name_group(), &e.name);
-            }
-            let scan_key = match group {
-                Some(g) => keys::tree_group_prefix(&parent_key, g),
-                None => parent_key.clone(),
-            };
-            let child_depth = treekey::depth(&parent_key) + 1;
-            let mut out = Vec::new();
-            for (k, raw) in rt.scan_prefix(T_TREE, &scan_key) {
-                if treekey::depth(&k) != child_depth {
-                    continue;
-                }
-                let ent = Arc::new(Entity::decode(&raw)?);
-                let full = self.chain_from_entity(ms, ent.clone())?;
-                if Self::authz_of(&full).can_see(&who) {
-                    out.push(ent);
-                }
-            }
-            super::history_read_event(crate::cache::read_ms_version(&rt, ms));
-            return Ok(out);
+        let mut parent_key = keys::tree_ms_prefix(ms);
+        for e in parent_full.iter().rev().filter(|e| e.kind != SecurableKind::Metastore) {
+            keys::tree_push_child(&mut parent_key, e.kind.name_group(), &e.name);
         }
-        // Legacy layout: name-index scan plus one point read per child.
         let prefix = match group {
-            Some(g) => keys::children_group_prefix(ms, Some(&parent_ent.id), g),
-            None => keys::children_prefix(ms, Some(&parent_ent.id)),
+            Some(g) => keys::tree_group_prefix(&parent_key, g),
+            None => parent_key,
         };
-        let mut out = Vec::new();
-        for (_, id_raw) in rt.scan_prefix(T_NAME, &prefix) {
-            let id = Uid::from_string(String::from_utf8(id_raw.to_vec()).unwrap_or_default());
-            // Resolve entities at the scan's own snapshot, not through the
-            // cache: the cache may have advanced past the scan, and mixing
-            // the two yields a listing no single metastore version ever
-            // held (a concurrently dropped child vanishes from the scan's
-            // results while a concurrently created one stays invisible).
-            // The history checker flags such composite listings.
-            if let Some(ent) = self.db_entity_by_id(&rt, ms, &id)? {
-                let full = self.chain_from_entity(ms, ent.clone())?;
-                if Self::authz_of(&full).can_see(&who) {
-                    out.push(ent);
-                }
-            }
-        }
-        super::history_read_event(crate::cache::read_ms_version(&rt, ms));
-        Ok(out)
+        self.visible_children(ms, &who, &prefix)
     }
 
     // ------------------------------------------------------------------
@@ -1108,7 +1028,7 @@ impl UnityCatalog {
             let mut ent = Entity::decode(&raw)?;
             // A soft-deleted row must never be updated: its name may have
             // been re-assigned to a successor entity, and re-upserting
-            // would resurrect the tombstoned name-index entry (a caller
+            // would resurrect the deleted tree row (a caller
             // can reach this via a stale cached name mapping; the
             // serializable write is where staleness gets caught).
             if !ent.is_active() {
@@ -1182,7 +1102,7 @@ impl UnityCatalog {
 
     /// Rename a securable in place (admin authority). IDs are stable, so
     /// grants, lineage, shares, and view dependencies survive the rename;
-    /// only the name index moves.
+    /// only tree rows move.
     pub fn rename_securable(
         &self,
         ctx: &Context,
@@ -1218,35 +1138,27 @@ impl UnityCatalog {
             if !ent.is_active() {
                 return Err(UcError::NotFound(name.to_string()));
             }
-            let old_key =
-                keys::name_key(ms, ent.parent.as_ref(), ent.kind.name_group(), &ent.name);
-            let new_key = keys::name_key(ms, ent.parent.as_ref(), ent.kind.name_group(), new_name);
-            if new_key != old_key && tx.get(T_NAME, &new_key).is_some() {
-                return Err(UcError::AlreadyExists(new_name.to_string()));
-            }
-            tx.delete(T_NAME, &old_key);
-            fx.dropped_names.push(old_key);
-            // Tree index: the node's key embeds its name, so its row —
-            // and, for a schema, every descendant row sharing the prefix —
-            // moves. One range scan rewrites them; descendant *values*
-            // are untouched (they embed parent ids, not names).
-            let tree_maintained = tx.get(keys::T_TREEMETA, ms.as_str()).is_some();
-            let old_tree = if tree_maintained { Some(super::tree_key_of(tx, &ent)?) } else { None };
+            // The node's tree key embeds its name, so its row — and, for a
+            // schema, every descendant row sharing the prefix — moves. One
+            // range scan rewrites them; descendant *values* are untouched
+            // (they embed parent ids, not names).
+            let old_tree = super::tree_key_of(tx, &ent)?;
             ent.name = new_name.to_string();
             ent.updated_at_ms = now;
-            if let Some(old_tree) = old_tree {
-                let new_tree = super::tree_key_of(tx, &ent)?;
-                for (k, v) in tx.scan_prefix(T_TREE, &old_tree) {
-                    tx.delete(T_TREE, &k);
-                    if k != old_tree {
-                        let mut moved = new_tree.clone();
-                        moved.push_str(&k[old_tree.len()..]);
-                        tx.put(T_TREE, &moved, v);
-                    }
-                    fx.dropped_names.push(k);
-                }
+            let new_tree = super::tree_key_of(tx, &ent)?;
+            if new_tree != old_tree && tx.get(T_TREE, &new_tree).is_some() {
+                return Err(UcError::AlreadyExists(new_name.to_string()));
             }
-            fx.upsert(tx, ent, ChangeOp::Update)
+            for (k, v) in tx.scan_prefix(T_TREE, &old_tree) {
+                tx.delete(T_TREE, &k);
+                if k != old_tree {
+                    let mut moved = new_tree.clone();
+                    moved.push_str(&k[old_tree.len()..]);
+                    tx.put(T_TREE, &moved, v);
+                }
+                fx.dropped_names.push(k);
+            }
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Update, new_tree))
         })?;
         self.record_audit(&ctx.principal, "renameSecurable", Some(&renamed.id), AuditDecision::Allow, format!("{name} -> {new_name}"));
         Ok(renamed)
@@ -1304,17 +1216,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         let count = self.write_ms(ms, |tx, _ver, fx| {
             let mut count = 0;
-            // Tree layout (ready): the whole cascade is one range scan of
-            // the target's key range, parents before children, each row
-            // carrying its full entity. Mid-build or legacy metastores
-            // walk the name index recursively instead.
-            if target.kind != SecurableKind::Metastore
-                && tx.get(T_TREE, &keys::tree_ms_prefix(ms)).is_some()
-            {
-                Self::soft_delete_subtree(tx, ms, &target, now, fx, &mut count)?;
-            } else {
-                Self::soft_delete_recursive(tx, ms, &target.id, now, fx, &mut count, 0)?;
-            }
+            Self::soft_delete_subtree(tx, ms, &target, now, fx, &mut count)?;
             Ok(count)
         })?;
         self.record_audit(&ctx.principal, "dropSecurable", Some(&target.id), AuditDecision::Allow, format!("{name} ({count} entities)"));
@@ -1322,8 +1224,10 @@ impl UnityCatalog {
     }
 
     /// Soft-delete `target` and every descendant in **one** range scan of
-    /// the tree index. Per row: free the name, drop the tree row (its
-    /// absence is what hides the subtree from listings and resolution),
+    /// the tree index, parents before children, each row carrying its full
+    /// entity (a metastore's range is everything under
+    /// [`keys::tree_ms_prefix`]). Per row: drop the tree row (which frees
+    /// the name and hides the subtree from listings and resolution),
     /// unregister the storage path, and tombstone the entity row for GC.
     fn soft_delete_subtree(
         tx: &mut uc_txdb::WriteTxn,
@@ -1351,10 +1255,6 @@ impl UnityCatalog {
             if ent.state == LifecycleState::SoftDeleted {
                 continue;
             }
-            tx.delete(
-                T_NAME,
-                &keys::name_key(ms, ent.parent.as_ref(), ent.kind.name_group(), &ent.name),
-            );
             tx.delete(T_TREE, &tree_key);
             fx.dropped_names.push(tree_key);
             if let Some(p) = ent.storage_path.as_ref().and_then(|p| StoragePath::parse(p).ok()) {
@@ -1367,60 +1267,6 @@ impl UnityCatalog {
             fx.tombstones.push(ent.id.clone());
             *count += 1;
         }
-        Ok(())
-    }
-
-    fn soft_delete_recursive(
-        tx: &mut uc_txdb::WriteTxn,
-        ms: &Uid,
-        id: &Uid,
-        now: u64,
-        fx: &mut WriteEffects,
-        count: &mut usize,
-        depth: usize,
-    ) -> UcResult<()> {
-        if depth > 8 {
-            return Err(UcError::Database("deletion recursion too deep".into()));
-        }
-        let Some(raw) = tx.get(T_ENTITY, &keys::ent_key(ms, id)) else {
-            return Ok(());
-        };
-        let mut ent = Entity::decode(&raw)?;
-        if ent.state == LifecycleState::SoftDeleted {
-            return Ok(());
-        }
-        // Cascade first (children discovered via the name index).
-        let child_ids: Vec<Uid> = tx
-            .scan_prefix(T_NAME, &keys::children_prefix(ms, Some(id)))
-            .into_iter()
-            .filter_map(|(_, raw)| String::from_utf8(raw.to_vec()).ok())
-            .map(Uid::from_string)
-            .collect();
-        for child in child_ids {
-            Self::soft_delete_recursive(tx, ms, &child, now, fx, count, depth + 1)?;
-        }
-        // Free the name immediately; keep the row for GC.
-        tx.delete(
-            T_NAME,
-            &keys::name_key(ms, ent.parent.as_ref(), ent.kind.name_group(), &ent.name),
-        );
-        // Dual-write during an in-progress index build: entities created
-        // after the build marker went up have tree rows even though the
-        // index isn't ready yet, and those must not outlive the entity.
-        if tx.get(keys::T_TREEMETA, ms.as_str()).is_some() {
-            let tk = super::tree_key_of(tx, &ent)?;
-            tx.delete(T_TREE, &tk);
-            fx.dropped_names.push(tk);
-        }
-        if let Some(p) = ent.storage_path.as_ref().and_then(|p| StoragePath::parse(p).ok()) {
-            paths::unregister_path(tx, ms, &p);
-        }
-        ent.state = LifecycleState::SoftDeleted;
-        ent.updated_at_ms = now;
-        tx.put(T_ENTITY, &keys::ent_key(ms, &ent.id), ent.encode());
-        fx.events.push((ent.id.clone(), ent.kind, ent.name.clone(), ChangeOp::Delete));
-        fx.tombstones.push(ent.id.clone());
-        *count += 1;
         Ok(())
     }
 

@@ -17,8 +17,8 @@ use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::{props, Entity};
-use crate::model::keys::{self, T_NAME};
-use crate::service::{Context, UnityCatalog};
+use crate::model::keys::{self, T_TREE};
+use crate::service::{claim_name, Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind, TableType};
 
 /// What a connector returns for one foreign table.
@@ -61,10 +61,6 @@ impl UnityCatalog {
         }
         let now = self.now_ms();
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(ms), SecurableKind::Connection.name_group(), name);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(name.to_string()));
-            }
             let mut ent = Entity::new(
                 SecurableKind::Connection,
                 name,
@@ -73,8 +69,9 @@ impl UnityCatalog {
                 &ctx.principal,
                 now,
             );
+            let tk = claim_name(tx, &ent, name)?;
             ent.properties.insert(props::ENDPOINT.to_string(), endpoint.to_string());
-            fx.upsert(tx, ent, ChangeOp::Create)
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createConnection", Some(&created.id), AuditDecision::Allow, endpoint);
         Ok(created)
@@ -91,9 +88,9 @@ impl UnityCatalog {
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter_t("create_federated_catalog", ctx, ms);
         let connection = self
-            .entity_by_name_key(
+            .entity_by_tree_key(
                 ms,
-                &keys::name_key(ms, Some(ms), SecurableKind::Connection.name_group(), connection_name),
+                &keys::tree_key(ms, &[(SecurableKind::Connection.name_group(), connection_name)]),
             )?
             .ok_or_else(|| UcError::NotFound(format!("connection {connection_name}")))?;
         let catalog = self.create_catalog(ctx, ms, name)?;
@@ -118,8 +115,9 @@ impl UnityCatalog {
         meta: &ForeignTableMeta,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter_t("mirror_table", ctx, ms);
+        let cat_key = keys::tree_key(ms, &[("catalog", federated_catalog)]);
         let cat = self
-            .entity_by_name_key(ms, &keys::name_key(ms, None, "catalog", federated_catalog))?
+            .entity_by_tree_key(ms, &cat_key)?
             .ok_or_else(|| UcError::NotFound(federated_catalog.to_string()))?;
         if cat.properties.get("federated").map(|s| s.as_str()) != Some("true") {
             return Err(UcError::Federation(format!(
@@ -139,23 +137,17 @@ impl UnityCatalog {
             ));
         }
         // Ensure the schema exists.
-        let schema_ent = match self.entity_by_name_key(
-            ms,
-            &keys::name_key(ms, Some(&cat.id), "schema", schema_name),
-        )? {
+        let mut schema_key = cat_key;
+        keys::tree_push_child(&mut schema_key, "schema", schema_name);
+        let schema_ent = match self.entity_by_tree_key(ms, &schema_key)? {
             Some(s) => s,
             None => {
                 let now = self.now_ms();
                 let cat_id = cat.id.clone();
                 self.write_ms(ms, |tx, _ver, fx| {
-                    let nk = keys::name_key(ms, Some(&cat_id), "schema", schema_name);
-                    if let Some(existing) = tx.get(T_NAME, &nk) {
+                    if let Some(existing) = tx.get(T_TREE, &schema_key) {
                         // lost a race; reuse
-                        let id = Uid::from_string(String::from_utf8(existing.to_vec()).unwrap_or_default());
-                        let raw = tx
-                            .get(keys::T_ENTITY, &keys::ent_key(ms, &id))
-                            .ok_or_else(|| UcError::Database("dangling schema index".into()))?;
-                        return Ok(Arc::new(Entity::decode(&raw)?));
+                        return Ok(Arc::new(Entity::decode(&existing)?));
                     }
                     let ent = Entity::new(
                         SecurableKind::Schema,
@@ -171,16 +163,11 @@ impl UnityCatalog {
         };
         // Upsert the mirrored table.
         let now = self.now_ms();
+        let mut table_key = schema_key;
+        keys::tree_push_child(&mut table_key, "relation", &meta.name);
         let mirrored = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(&schema_ent.id), "relation", &meta.name);
-            let mut ent = match tx.get(T_NAME, &nk) {
-                Some(existing) => {
-                    let id = Uid::from_string(String::from_utf8(existing.to_vec()).unwrap_or_default());
-                    let raw = tx
-                        .get(keys::T_ENTITY, &keys::ent_key(ms, &id))
-                        .ok_or_else(|| UcError::Database("dangling table index".into()))?;
-                    Entity::decode(&raw)?
-                }
+            let mut ent = match tx.get(T_TREE, &table_key) {
+                Some(existing) => Entity::decode(&existing)?,
                 None => Entity::new(
                     SecurableKind::Table,
                     &meta.name,

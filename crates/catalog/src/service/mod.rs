@@ -46,7 +46,7 @@ use crate::error::{UcError, UcResult};
 use crate::events::{ChangeOp, EventBus, MetadataChangeEvent};
 use crate::ids::Uid;
 use crate::model::entity::{Entity, PrincipalRecord};
-use crate::model::keys::{self, T_ENTITY, T_MSVER, T_NAME, T_PRINCIPAL, T_TREE, T_TREEMETA};
+use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PRINCIPAL, T_TREE};
 use crate::types::{FullName, SecurableKind};
 
 /// Annotate the active request span with the metastore version a read
@@ -87,11 +87,6 @@ pub struct UcConfig {
     /// etc.) on every API call. On by default; benches flip it off for the
     /// unlabeled comparison arm.
     pub tenant_labels: bool,
-    /// Create metastores on the legacy (pre-tree) key layout: no tree
-    /// rows, no build marker. Test-only knob for exercising the
-    /// [`UnityCatalog::rebuild_tree_index`] migration path; production
-    /// metastores are born tree-ready.
-    pub start_legacy_layout: bool,
 }
 
 impl Default for UcConfig {
@@ -106,7 +101,6 @@ impl Default for UcConfig {
             faults: FaultPlan::disabled(),
             obs: Obs::disabled(),
             tenant_labels: true,
-            start_legacy_layout: false,
         }
     }
 }
@@ -167,25 +161,22 @@ impl Context {
 /// publication after a successful commit.
 #[derive(Default)]
 pub(crate) struct WriteEffects {
-    /// Entities written, each with its tree-index key when the metastore
-    /// is on the tree layout (the key is installed as a cache mapping).
-    pub upserts: Vec<(Arc<Entity>, Option<String>)>,
+    /// Entities written, each with its tree key (installed as the cache's
+    /// name mapping).
+    pub upserts: Vec<(Arc<Entity>, String)>,
     pub tombstones: Vec<Uid>,
-    /// Name- and tree-index keys freed by this write (renames, drops), to
-    /// be dropped from the cache's name map.
+    /// Tree keys freed by this write (renames, drops), to be dropped from
+    /// the cache's name map.
     pub dropped_names: Vec<String>,
     pub events: Vec<(Uid, SecurableKind, String, ChangeOp)>,
-    /// Memoized tree-layout marker read: one per transaction attempt,
-    /// however many entities the closure writes.
-    tree_enabled: Option<bool>,
 }
 
 /// The tree-index key of an entity: its ancestor chain of
 /// `{group}:{name}` segments under the metastore, resolved by walking
 /// parent ids inside the transaction (so the key is computed against the
 /// same snapshot the write validates). The metastore entity itself maps
-/// to the bare metastore prefix — its row's presence is the readiness
-/// signal readers key off.
+/// to the bare metastore prefix; catalogs and metastore-level securables
+/// are its children.
 pub(crate) fn tree_key_of(tx: &mut WriteTxn, ent: &Entity) -> UcResult<String> {
     let ms = &ent.metastore;
     if ent.kind == SecurableKind::Metastore {
@@ -216,68 +207,40 @@ pub(crate) fn tree_key_of(tx: &mut WriteTxn, ent: &Entity) -> UcResult<String> {
     Ok(key)
 }
 
+/// Claim the name of an entity about to be created: its tree key, or
+/// `AlreadyExists(display)` when an active entity already holds the name.
+/// The point read lands in the transaction's read set, so a concurrent
+/// create of the same name conflicts at commit.
+pub(crate) fn claim_name(
+    tx: &mut WriteTxn,
+    ent: &Entity,
+    display: impl std::fmt::Display,
+) -> UcResult<String> {
+    let tk = tree_key_of(tx, ent)?;
+    if tx.get(T_TREE, &tk).is_some() {
+        return Err(UcError::AlreadyExists(display.to_string()));
+    }
+    Ok(tk)
+}
+
 impl WriteEffects {
-    /// Whether this metastore maintains the tree index (marker present:
-    /// either mid-build or ready — writers dual-write in both states).
-    /// Memoized per effects struct, i.e. per transaction attempt.
-    fn tree_enabled(&mut self, tx: &mut WriteTxn, ms: &Uid) -> bool {
-        *self
-            .tree_enabled
-            .get_or_insert_with(|| tx.get(T_TREEMETA, ms.as_str()).is_some())
-    }
-
-    /// Persist an entity (row + name index + tree index) and record the
-    /// effect.
+    /// Persist an entity (entity row + tree row) and record the effect.
     pub fn upsert(&mut self, tx: &mut WriteTxn, ent: Entity, op: ChangeOp) -> UcResult<Arc<Entity>> {
-        let tk = if self.tree_enabled(tx, &ent.metastore) {
-            Some(tree_key_of(tx, &ent)?)
-        } else {
-            None
-        };
-        Ok(self.upsert_with_tree_key(tx, ent, op, tk))
+        let tk = tree_key_of(tx, &ent)?;
+        Ok(self.upsert_at(tx, ent, op, tk))
     }
 
-    /// [`WriteEffects::upsert`] when the caller already holds the parent's
-    /// tree key. Bulk loaders resolve each container once per chunk and
-    /// extend its key per row, instead of paying `tree_key_of`'s
+    /// [`WriteEffects::upsert`] at an already-computed tree key: from
+    /// [`claim_name`], or built from names by bulk loaders, which resolve
+    /// each container once per chunk instead of paying `tree_key_of`'s
     /// per-row ancestor point reads.
-    pub fn upsert_under(
-        &mut self,
-        tx: &mut WriteTxn,
-        ent: Entity,
-        op: ChangeOp,
-        parent_tree_key: &str,
-    ) -> Arc<Entity> {
-        let tk = if self.tree_enabled(tx, &ent.metastore) {
-            let mut k = parent_tree_key.to_string();
-            keys::tree_push_child(&mut k, ent.kind.name_group(), &ent.name);
-            Some(k)
-        } else {
-            None
-        };
-        self.upsert_with_tree_key(tx, ent, op, tk)
-    }
-
-    fn upsert_with_tree_key(
-        &mut self,
-        tx: &mut WriteTxn,
-        ent: Entity,
-        op: ChangeOp,
-        tk: Option<String>,
-    ) -> Arc<Entity> {
-        let ms = ent.metastore.clone();
+    pub fn upsert_at(&mut self, tx: &mut WriteTxn, ent: Entity, op: ChangeOp, tk: String) -> Arc<Entity> {
         let encoded = ent.encode();
-        tx.put(T_ENTITY, &keys::ent_key(&ms, &ent.id), encoded.clone());
-        tx.put(
-            T_NAME,
-            &keys::name_key(&ms, ent.parent.as_ref(), ent.kind.name_group(), &ent.name),
-            Bytes::from(ent.id.as_str().to_string()),
-        );
-        // Tree row value is byte-identical to the entity row, so one
-        // chain scan resolves a whole ancestor path without point reads.
-        if let Some(tk) = &tk {
-            tx.put(T_TREE, tk, encoded);
-        }
+        tx.put(T_ENTITY, &keys::ent_key(&ent.metastore, &ent.id), encoded.clone());
+        // Tree row value is byte-identical to the entity row: a by-name
+        // get returns the entity, and one chain scan resolves a whole
+        // ancestor path without point reads.
+        tx.put(T_TREE, &tk, encoded);
         let arc = Arc::new(ent);
         self.events
             .push((arc.id.clone(), arc.kind, arc.name.clone(), op));
@@ -414,12 +377,6 @@ const TENANT_MEMO_CAPACITY: usize = 64;
 
 /// The label used when a request carries no metastore or no principal.
 pub(crate) const NO_TENANT: &str = "-";
-
-/// Entities backfilled per transaction by [`UnityCatalog::rebuild_tree_index`].
-/// Small enough that each chunk's conflict window stays narrow under
-/// concurrent writes, large enough that a million-asset rebuild is a few
-/// thousand transactions.
-const TREE_BUILD_CHUNK: usize = 256;
 
 impl UnityCatalog {
     pub fn new(db: Db, store: ObjectStore, config: UcConfig, node_id: &str) -> Arc<Self> {
@@ -726,30 +683,22 @@ impl UnityCatalog {
         }
     }
 
-    fn db_entity_by_name(
-        &self,
-        rt: &ReadTxn,
-        ms: &Uid,
-        name_key: &str,
-    ) -> UcResult<Option<Arc<Entity>>> {
-        let Some(id_raw) = rt.get(T_NAME, name_key) else {
-            return Ok(None);
-        };
-        let id = Uid::from_string(
-            String::from_utf8(id_raw.to_vec())
-                .map_err(|e| UcError::Database(format!("corrupt name index: {e}")))?,
-        );
-        self.db_entity_by_id(rt, ms, &id)
+    /// The active entity holding a tree key: one point get on the name
+    /// index, whose row *is* the entity (no name→id hop).
+    fn db_entity_by_tree_key(&self, rt: &ReadTxn, tree_key: &str) -> UcResult<Option<Arc<Entity>>> {
+        match rt.get(T_TREE, tree_key) {
+            Some(raw) => {
+                let ent = Entity::decode(&raw)?;
+                Ok(ent.is_active().then(|| Arc::new(ent)))
+            }
+            None => Ok(None),
+        }
     }
 
-    fn install_in_cache(&self, c: &MsCache, ms: &Uid, ent: &Arc<Entity>, at_version: u64) {
-        self.install_in_cache_tk(c, ms, ent, at_version, None);
-    }
-
-    /// [`Self::install_in_cache`] with the entity's tree-index key when
-    /// the caller resolved one (write-through and chain-scan installs),
-    /// so cached chain lookups can probe by tree key.
-    fn install_in_cache_tk(
+    /// Install an entity read at `at_version`. `tree_key` is its name
+    /// mapping when the read was by name (or a write); by-id reads pass
+    /// `None` and add no name mapping.
+    fn install_in_cache(
         &self,
         c: &MsCache,
         ms: &Uid,
@@ -757,26 +706,25 @@ impl UnityCatalog {
         at_version: u64,
         tree_key: Option<String>,
     ) {
-        let nk = keys::name_key(ms, ent.parent.as_ref(), ent.kind.name_group(), &ent.name);
         let pk = ent.storage_path.as_ref().map(|p| keys::path_key(ms, p));
-        c.insert(ent.clone(), at_version, nk, pk, tree_key);
+        c.insert(ent.clone(), at_version, pk, tree_key);
     }
 
-    /// Look up an entity by a fully-built name-index key.
-    pub(crate) fn entity_by_name_key(
+    /// Look up an entity by its tree key (see [`keys::tree_key`]).
+    pub(crate) fn entity_by_tree_key(
         &self,
         ms: &Uid,
-        name_key: &str,
+        tree_key: &str,
     ) -> UcResult<Option<Arc<Entity>>> {
         if !self.config.cache.enabled {
             let rt = self.db.begin_read();
-            return self.db_entity_by_name(&rt, ms, name_key);
+            return self.db_entity_by_tree_key(&rt, tree_key);
         }
         let cache = self.cache.for_metastore(ms);
-        self.entity_by_name_key_in(ms, &cache, name_key)
+        self.entity_by_tree_key_in(ms, &cache, tree_key)
     }
 
-    /// [`UnityCatalog::entity_by_name_key`] against an already-resolved
+    /// [`UnityCatalog::entity_by_tree_key`] against an already-resolved
     /// metastore cache (callers that loop hold the `Arc` once). Requires
     /// the cache to be enabled.
     ///
@@ -784,17 +732,17 @@ impl UnityCatalog {
     /// read of the version pin, and a sharded snapshot read. Misses read
     /// the database at one snapshot, then serialize on the metastore's
     /// write gate to reconcile/install.
-    pub(crate) fn entity_by_name_key_in(
+    pub(crate) fn entity_by_tree_key_in(
         &self,
         ms: &Uid,
         cache: &MsCache,
-        name_key: &str,
+        tree_key: &str,
     ) -> UcResult<Option<Arc<Entity>>> {
         let mut missed = false;
         for _ in 0..8 {
             // Yield outside the write gate: a parked client holds no lock.
             sched::yield_point(sched::points::READ_LOOKUP);
-            if let Some(id) = cache.id_by_name(name_key) {
+            if let Some(id) = cache.id_by_name(tree_key) {
                 let ver = cache.version();
                 if let Some(hit) = cache.get_at(&id, ver) {
                     self.cache.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -810,29 +758,29 @@ impl UnityCatalog {
                 self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
             }
             // uc-lint: allow(hotpath) -- hot/cold boundary: the cached hit returned above; a miss round reads the db and takes the write gate
-            match self.entity_by_name_miss_in(ms, cache, name_key)? {
+            match self.entity_by_tree_key_miss_in(ms, cache, tree_key)? {
                 MissLookup::Stale => continue,
                 MissLookup::Done(found) => return Ok(found),
             }
         }
         // uc-lint: allow(hotpath) -- stale-retry budget exhausted: serve this read straight from a db snapshot
-        self.db_entity_by_name_uncached(ms, name_key)
+        self.db_entity_by_tree_key_uncached(ms, tree_key)
     }
 
-    /// One cold lookup round for [`Self::entity_by_name_key_in`]: read the
+    /// One cold lookup round for [`Self::entity_by_tree_key_in`]: read the
     /// db at a snapshot, then reconcile/install under the write gate. The
     /// cached-hit fast path returns before its call site, so nothing here
     /// runs on the hot path (the linter prunes the closure at the
     /// boundary pragma above).
-    fn entity_by_name_miss_in(
+    fn entity_by_tree_key_miss_in(
         &self,
         ms: &Uid,
         cache: &MsCache,
-        name_key: &str,
+        tree_key: &str,
     ) -> UcResult<MissLookup> {
         let rt = self.db.begin_read();
         let db_ver = read_ms_version(&rt, ms);
-        let found = self.db_entity_by_name(&rt, ms, name_key)?;
+        let found = self.db_entity_by_tree_key(&rt, tree_key)?;
         let _gate = cache.write_gate();
         match db_ver.cmp(&cache.version()) {
             std::cmp::Ordering::Less => {
@@ -846,17 +794,17 @@ impl UnityCatalog {
             std::cmp::Ordering::Equal => {}
         }
         if let Some(ent) = &found {
-            self.install_in_cache(cache, ms, ent, db_ver);
+            self.install_in_cache(cache, ms, ent, db_ver, Some(tree_key.to_string()));
         }
         history_read_event(db_ver);
         Ok(MissLookup::Done(found))
     }
 
-    /// Cache-bypassing name lookup at one db snapshot.
-    fn db_entity_by_name_uncached(&self, ms: &Uid, name_key: &str) -> UcResult<Option<Arc<Entity>>> {
+    /// Cache-bypassing by-name lookup at one db snapshot.
+    fn db_entity_by_tree_key_uncached(&self, ms: &Uid, tree_key: &str) -> UcResult<Option<Arc<Entity>>> {
         let rt = self.db.begin_read();
         history_read_event(read_ms_version(&rt, ms));
-        self.db_entity_by_name(&rt, ms, name_key)
+        self.db_entity_by_tree_key(&rt, tree_key)
     }
 
     /// Look up an entity by id.
@@ -870,7 +818,7 @@ impl UnityCatalog {
     }
 
     /// [`UnityCatalog::entity_by_id`] against an already-resolved metastore
-    /// cache; same locking discipline as [`Self::entity_by_name_key_in`].
+    /// cache; same locking discipline as [`Self::entity_by_tree_key_in`].
     pub(crate) fn entity_by_id_in(
         &self,
         ms: &Uid,
@@ -901,7 +849,7 @@ impl UnityCatalog {
     }
 
     /// One cold lookup round for [`Self::entity_by_id_in`]; see
-    /// [`Self::entity_by_name_miss_in`].
+    /// [`Self::entity_by_tree_key_miss_in`].
     fn entity_by_id_miss_in(
         &self,
         ms: &Uid,
@@ -923,7 +871,7 @@ impl UnityCatalog {
             std::cmp::Ordering::Equal => {}
         }
         if let Some(ent) = &found {
-            self.install_in_cache(cache, ms, ent, db_ver);
+            self.install_in_cache(cache, ms, ent, db_ver, None);
         }
         history_read_event(db_ver);
         Ok(MissLookup::Done(found))
@@ -969,7 +917,7 @@ impl UnityCatalog {
                 let db_ver = read_ms_version(&rt, ms);
                 let _gate = c.write_gate();
                 if db_ver == c.version() {
-                    self.install_in_cache(c, ms, ent, db_ver);
+                    self.install_in_cache(c, ms, ent, db_ver, None);
                 }
             }
             Ok(Some((ent.clone(), registered)))
@@ -1052,7 +1000,7 @@ impl UnityCatalog {
                             // the new versions, and readers after the
                             // advance see all of them.
                             for (ent, tk) in &fx.upserts {
-                                self.install_in_cache_tk(&cache_arc, ms, ent, cur + 1, tk.clone());
+                                self.install_in_cache(&cache_arc, ms, ent, cur + 1, Some(tk.clone()));
                             }
                             for id in &fx.tombstones {
                                 cache_arc.insert_tombstone(id, cur + 1);
@@ -1119,13 +1067,11 @@ impl UnityCatalog {
     /// credential). Four-part names address model versions
     /// (`catalog.schema.model.vN`).
     ///
-    /// On the tree layout the whole chain resolves in **one** range scan:
-    /// the leaf's tree key is computable from the qualified name alone,
-    /// and [`ReadTxn::scan_chain`] returns the row at every ancestor
-    /// prefix in a single traversal. The cached fast path probes the same
-    /// per-level tree keys under one version pin. Metastores whose tree
-    /// index is not (yet) built fall back to the per-segment name-index
-    /// walk.
+    /// The whole chain resolves in **one** range scan: the leaf's tree
+    /// key is computable from the qualified name alone, and
+    /// [`ReadTxn::scan_chain`] returns the row at every ancestor prefix in
+    /// a single traversal. The cached fast path probes the same per-level
+    /// tree keys under one version pin.
     pub(crate) fn lookup_chain(
         &self,
         ms: &Uid,
@@ -1199,111 +1145,52 @@ impl UnityCatalog {
         let Some(leaf_key) = level_keys.last() else {
             return Err(malformed());
         };
+        // The chain scan returns the row at every existing level, shortest
+        // key first, led by the metastore's own row. A missing level means
+        // the name doesn't resolve (tree rows are removed on soft delete,
+        // so presence implies active).
         let rows = rt.scan_chain(T_TREE, leaf_key);
-        if rows.first().is_some_and(|(k, _)| *k == keys::tree_ms_prefix(ms)) {
-            // Tree index ready: the chain scan returned the metastore row
-            // plus the row at every existing level, shortest key first. A
-            // missing level means the name doesn't resolve (tree rows are
-            // removed on soft delete, so presence implies active).
-            if cache.is_some() {
-                self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
+        // Skip the metastore row: the one prefix shorter than level one.
+        let levels = rows.iter().skip_while(|(k, _)| k.len() < level_keys[0].len());
+        if cache.is_some() {
+            self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        let db_ver = read_ms_version(&rt, ms);
+        let mut ents: Vec<Arc<Entity>> = Vec::with_capacity(segs.len());
+        for ((k, raw), lk) in levels.zip(&level_keys) {
+            if k != lk {
+                break;
             }
-            let db_ver = read_ms_version(&rt, ms);
-            let mut ents: Vec<Arc<Entity>> = Vec::with_capacity(segs.len());
-            let mut rows_iter = rows.iter().skip(1);
-            let mut complete = true;
-            for lk in &level_keys {
-                match rows_iter.next() {
-                    Some((k, raw)) if k == lk => {
-                        let ent = Entity::decode(raw)?;
-                        if !ent.is_active() {
-                            complete = false;
-                            break;
-                        }
-                        ents.push(Arc::new(ent));
-                    }
-                    _ => {
-                        complete = false;
-                        break;
-                    }
-                }
+            let ent = Entity::decode(raw)?;
+            if !ent.is_active() {
+                break;
             }
-            if !complete {
-                // The op still observed a snapshot: record it so checkers
-                // can place the not-found against a version.
-                history_read_event(db_ver);
-                return Err(not_found());
-            }
-            if let Some(c) = &cache {
-                // Miss path only: the cached chain hit returns above
-                // without reaching the gate. (Not a lint pragma — the
-                // chain lookup is reached from resolve, not a hotpath
-                // root, so no hotpath diagnostic fires here.)
-                let _gate = c.write_gate();
-                if db_ver > c.version() {
-                    self.cache.reconcile(ms, c, &self.db, db_ver, rt.snapshot_csn());
-                }
-                if db_ver == c.version() {
-                    for (ent, lk) in ents.iter().zip(&level_keys) {
-                        self.install_in_cache_tk(c, ms, ent, db_ver, Some(lk.clone()));
-                    }
-                }
-            }
+            ents.push(Arc::new(ent));
+        }
+        if ents.len() != level_keys.len() {
+            // The op still observed a snapshot: record it so checkers can
+            // place the not-found against a version.
             history_read_event(db_ver);
-            ents.reverse();
-            return Ok(ents);
+            return Err(not_found());
         }
-        drop(rt);
-        // Legacy layout (tree index not built): per-segment walk over the
-        // name index.
-        let lookup = |nk: &str| match &cache {
-            Some(c) => self.entity_by_name_key_in(ms, c, nk),
-            None => {
-                let rt = self.db.begin_read();
-                self.db_entity_by_name(&rt, ms, nk)
+        if let Some(c) = &cache {
+            // Miss path only: the cached chain hit returns above without
+            // reaching the gate. (Not a lint pragma — the chain lookup is
+            // reached from resolve, not a hotpath root, so no hotpath
+            // diagnostic fires here.)
+            let _gate = c.write_gate();
+            if db_ver > c.version() {
+                self.cache.reconcile(ms, c, &self.db, db_ver, rt.snapshot_csn());
             }
-        };
-        if name.len() == 1 && leaf_group != "catalog" {
-            let ent = lookup(&keys::name_key(ms, Some(ms), leaf_group, name.catalog()))?
-                .ok_or_else(not_found)?;
-            return Ok(vec![ent]);
+            if db_ver == c.version() {
+                for (ent, lk) in ents.iter().zip(&level_keys) {
+                    self.install_in_cache(c, ms, ent, db_ver, Some(lk.clone()));
+                }
+            }
         }
-        let cat = lookup(&keys::name_key(ms, None, "catalog", name.catalog()))?
-            .ok_or_else(not_found)?;
-        if name.len() == 1 {
-            return Ok(vec![cat]);
-        }
-        let schema_name = name
-            .schema()
-            .ok_or_else(|| UcError::InvalidArgument(format!("malformed name {name}")))?;
-        let sch = lookup(&keys::name_key(ms, Some(&cat.id), "schema", schema_name))?
-            .ok_or_else(not_found)?;
-        if name.len() == 2 {
-            return Ok(vec![sch, cat]);
-        }
-        // For four-part names the third segment is always the registered
-        // model; `leaf_group` applies to the final segment.
-        let third_group = if name.len() == 4 {
-            SecurableKind::RegisteredModel.name_group()
-        } else {
-            leaf_group
-        };
-        let asset_name = name
-            .asset()
-            .ok_or_else(|| UcError::InvalidArgument(format!("malformed name {name}")))?;
-        let leaf = lookup(&keys::name_key(ms, Some(&sch.id), third_group, asset_name))?
-            .ok_or_else(not_found)?;
-        if name.len() == 3 {
-            return Ok(vec![leaf, sch, cat]);
-        }
-        let version = lookup(&keys::name_key(
-            ms,
-            Some(&leaf.id),
-            SecurableKind::ModelVersion.name_group(),
-            &name.parts[3],
-        ))?
-        .ok_or_else(not_found)?;
-        Ok(vec![version, leaf, sch, cat])
+        history_read_event(db_ver);
+        ents.reverse();
+        Ok(ents)
     }
 
     /// Force the node to revalidate a metastore's cache against the
@@ -1330,108 +1217,6 @@ impl UnityCatalog {
         if db_ver > cache.version() {
             self.cache.reconcile(ms, &cache, &self.db, db_ver, rt.snapshot_csn());
         }
-    }
-
-    /// Run a small maintenance transaction with bounded retry on
-    /// transient failures. Unlike [`Self::write_ms`] this bumps no
-    /// metastore version and does no cache write-through — index rows
-    /// written this way enter caches lazily through later lookups.
-    fn maintenance_txn<T>(&self, mut f: impl FnMut(&mut WriteTxn) -> UcResult<T>) -> UcResult<T> {
-        let mut attempts = 0;
-        loop {
-            sched::yield_point(sched::points::WRITE_BEGIN);
-            let mut tx = self.db.begin_write();
-            let out = f(&mut tx)?;
-            match tx.commit() {
-                Ok(_) => return Ok(out),
-                Err(err @ (TxError::Conflict { .. } | TxError::Unavailable { .. })) => {
-                    self.stats.write_retries.fetch_add(1, Ordering::Relaxed);
-                    attempts += 1;
-                    if attempts > 64 {
-                        return Err(UcError::Database(format!(
-                            "maintenance write aborted after {attempts} transient failures (last: {err})"
-                        )));
-                    }
-                    let backoff_ms = 1u64 << attempts.min(6);
-                    self.stats.write_backoff_ms.fetch_add(backoff_ms, Ordering::Relaxed);
-                    if self.clock.is_manual() {
-                        self.clock.advance_ms(backoff_ms);
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Build the order-preserving tree index for a metastore created on
-    /// the legacy layout — online, without blocking readers or writers.
-    ///
-    /// Protocol (DESIGN.md §11): flip the build marker to `building` so
-    /// every concurrent writer starts dual-writing tree rows; copy the
-    /// existing entities in bounded chunks of independent transactions,
-    /// point-reading each row inside its chunk so an entity dropped or
-    /// renamed mid-build is never resurrected (the read either observes
-    /// the current row or the chunk conflicts and retries); finally write
-    /// the metastore's own tree row plus the `ready` marker in one
-    /// transaction — that row's presence is the atomic readiness signal
-    /// readers key off, so they flip to range-scan resolution all at
-    /// once. Returns the number of tree rows backfilled.
-    pub fn rebuild_tree_index(&self, ms: &Uid) -> UcResult<usize> {
-        let _api = self.api_enter_p("rebuild_tree_index", NO_TENANT, Some(ms));
-        // Phase 1: announce the build. Writers observe the marker inside
-        // their own transactions and dual-write from here on.
-        self.maintenance_txn(|tx| {
-            if tx.get(T_TREEMETA, ms.as_str()).is_none() {
-                tx.put(T_TREEMETA, ms.as_str(), Bytes::from_static(b"building"));
-            }
-            Ok(())
-        })?;
-        // Phase 2: snapshot the entity keys once (read-only, unvalidated),
-        // then backfill in chunks.
-        let ent_keys: Vec<String> = {
-            let rt = self.db.begin_read();
-            rt.scan_prefix(T_ENTITY, &keys::ent_ms_prefix(ms))
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect()
-        };
-        let mut written = 0usize;
-        for chunk in ent_keys.chunks(TREE_BUILD_CHUNK) {
-            written += self.maintenance_txn(|tx| {
-                let mut n = 0usize;
-                for ekey in chunk {
-                    // Skip rows that vanished (purged) since the snapshot;
-                    // soft-deleted rows get no tree row, and the metastore
-                    // row is reserved for the readiness flip below.
-                    let Some(raw) = tx.get(T_ENTITY, ekey) else { continue };
-                    let ent = Entity::decode(&raw)?;
-                    if !ent.is_active() || ent.kind == SecurableKind::Metastore {
-                        continue;
-                    }
-                    let tk = tree_key_of(tx, &ent)?;
-                    tx.put(T_TREE, &tk, raw);
-                    n += 1;
-                }
-                Ok(n)
-            })?;
-        }
-        // Phase 3: flip readiness atomically.
-        self.maintenance_txn(|tx| {
-            let raw = tx
-                .get(T_ENTITY, &keys::ent_key(ms, ms))
-                .ok_or_else(|| UcError::NotFound(format!("metastore {ms}")))?;
-            tx.put(T_TREE, &keys::tree_ms_prefix(ms), raw);
-            tx.put(T_TREEMETA, ms.as_str(), Bytes::from_static(b"ready"));
-            Ok(())
-        })?;
-        self.record_audit(
-            NO_TENANT,
-            "rebuildTreeIndex",
-            Some(ms),
-            AuditDecision::Allow,
-            format!("{written} rows"),
-        );
-        Ok(written)
     }
 
     /// Chain from an entity up to (and including) the metastore entity.
@@ -1594,22 +1379,24 @@ impl UnityCatalog {
         if let Some(root) = self.roots.read().get(bucket) {
             return Ok(root.clone());
         }
-        // Rebuild from entities: scan storage credentials in this metastore.
+        // Rebuild from entities: one scan of the metastore's storage
+        // credentials, whose tree rows carry the entities themselves.
         let rt = self.db.begin_read();
-        let prefix = keys::children_group_prefix(ms, Some(ms), SecurableKind::StorageCredential.name_group());
-        for (_, id_raw) in rt.scan_prefix(T_NAME, &prefix) {
-            let id = Uid::from_string(String::from_utf8(id_raw.to_vec()).unwrap_or_default());
-            if let Some(ent) = self.db_entity_by_id(&rt, ms, &id)? {
-                let (Some(b), Some(secret)) = (
-                    ent.properties.get(crate::model::entity::props::BUCKET),
-                    ent.properties.get(crate::model::entity::props::ROOT_SECRET),
-                ) else {
-                    continue;
-                };
-                if let Ok(secret) = secret.parse::<u64>() {
-                    let root = RootCredential { bucket: b.clone(), secret };
-                    self.roots.write().insert(b.clone(), root.clone());
-                }
+        let prefix = keys::tree_group_prefix(
+            &keys::tree_ms_prefix(ms),
+            SecurableKind::StorageCredential.name_group(),
+        );
+        for (_, raw) in rt.scan_prefix(T_TREE, &prefix) {
+            let ent = Entity::decode(&raw)?;
+            let (Some(b), Some(secret)) = (
+                ent.properties.get(crate::model::entity::props::BUCKET),
+                ent.properties.get(crate::model::entity::props::ROOT_SECRET),
+            ) else {
+                continue;
+            };
+            if let Ok(secret) = secret.parse::<u64>() {
+                let root = RootCredential { bucket: b.clone(), secret };
+                self.roots.write().insert(b.clone(), root.clone());
             }
         }
         self.roots

@@ -23,6 +23,7 @@ use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
 use crate::model::entity::Entity;
+use crate::model::keys;
 use crate::service::{Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
 
@@ -96,42 +97,40 @@ impl UnityCatalog {
         let _api = self.api_enter_t("resolve_batch", ctx, ms);
         let who = self.authz_context(ms, &ctx.principal)?;
         // Batch-local memo of container chains, keyed by the container's
-        // qualified prefix: `[schema, catalog, …, metastore]` for
-        // `catalog.schema`. Bounded by the number of distinct prefixes in
-        // `refs`, which the serving plane caps per batch.
-        let mut prefixes: std::collections::HashMap<String, Vec<Arc<Entity>>> =
+        // qualified prefix: the schema's tree key plus
+        // `[schema, catalog, …, metastore]` for `catalog.schema`. Bounded
+        // by the number of distinct prefixes in `refs`, which the serving
+        // plane caps per batch.
+        let mut prefixes: std::collections::HashMap<String, (String, Vec<Arc<Entity>>)> =
             std::collections::HashMap::new();
         let mut out = Vec::with_capacity(refs.len());
         for name in refs {
             let full = match name.schema() {
                 Some(schema_name) if name.len() == 3 => {
                     let prefix = format!("{}.{schema_name}", name.catalog());
-                    let upper = match prefixes.get(&prefix) {
-                        Some(chain) => chain.clone(),
+                    let (schema_key, upper) = match prefixes.get(&prefix) {
+                        Some(memo) => memo.clone(),
                         None => {
                             let container = FullName::of(&[name.catalog(), schema_name]);
                             let chain = self.extend_chain(
                                 ms,
                                 self.lookup_chain(ms, &container, "schema")?,
                             )?;
-                            prefixes.insert(prefix, chain.clone());
-                            chain
+                            let schema_key =
+                                keys::tree_key(ms, &[("catalog", name.catalog()), ("schema", schema_name)]);
+                            prefixes.insert(prefix, (schema_key.clone(), chain.clone()));
+                            (schema_key, chain)
                         }
                     };
-                    // Only the leaf remains to resolve for this ref.
-                    let schema_id = upper[0].id.clone();
+                    // Only the leaf remains to resolve for this ref: one
+                    // get on the schema's tree key plus the leaf segment.
+                    let asset = name
+                        .asset()
+                        .ok_or_else(|| UcError::InvalidArgument(format!("malformed name {name}")))?;
+                    let mut leaf_key = schema_key;
+                    keys::tree_push_child(&mut leaf_key, "relation", asset);
                     let leaf = self
-                        .entity_by_name_key(
-                            ms,
-                            &crate::model::keys::name_key(
-                                ms,
-                                Some(&schema_id),
-                                "relation",
-                                name.asset().ok_or_else(|| {
-                                    UcError::InvalidArgument(format!("malformed name {name}"))
-                                })?,
-                            ),
-                        )?
+                        .entity_by_tree_key(ms, &leaf_key)?
                         .ok_or_else(|| UcError::NotFound(name.to_string()))?;
                     let mut full = Vec::with_capacity(upper.len() + 1);
                     full.push(leaf);

@@ -23,8 +23,8 @@ use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::Entity;
-use crate::model::keys::{self, T_NAME, T_SHAREMEM};
-use crate::service::{Context, UnityCatalog};
+use crate::model::keys::{self, T_SHAREMEM};
+use crate::service::{claim_name, Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
 
 /// A table exposed through a share.
@@ -67,12 +67,9 @@ impl UnityCatalog {
         }
         let now = self.now_ms();
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            let nk = keys::name_key(ms, Some(ms), SecurableKind::Share.name_group(), name);
-            if tx.get(T_NAME, &nk).is_some() {
-                return Err(UcError::AlreadyExists(name.to_string()));
-            }
             let ent = Entity::new(SecurableKind::Share, name, Some(ms.clone()), ms.clone(), &ctx.principal, now);
-            fx.upsert(tx, ent, ChangeOp::Create)
+            let tk = claim_name(tx, &ent, name)?;
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
         })?;
         self.record_audit(&ctx.principal, "createShare", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -121,10 +118,7 @@ impl UnityCatalog {
     }
 
     fn share_by_name(&self, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
-        self.entity_by_name_key(
-            ms,
-            &keys::name_key(ms, Some(ms), SecurableKind::Share.name_group(), name),
-        )?
+        self.entity_by_tree_key(ms, &keys::tree_key(ms, &[(SecurableKind::Share.name_group(), name)]))?
         .ok_or_else(|| UcError::NotFound(format!("share {name}")))
     }
 
@@ -132,19 +126,8 @@ impl UnityCatalog {
     pub fn list_shares(&self, ctx: &Context, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
         let _api = self.api_enter_t("list_shares", ctx, ms);
         let who = self.authz_context(ms, &ctx.principal)?;
-        let rt = self.db.begin_read();
-        let prefix = keys::children_group_prefix(ms, Some(ms), SecurableKind::Share.name_group());
-        let mut out = Vec::new();
-        for (_, id_raw) in rt.scan_prefix(T_NAME, &prefix) {
-            let id = Uid::from_string(String::from_utf8(id_raw.to_vec()).unwrap_or_default());
-            if let Some(share) = self.entity_by_id(ms, &id)? {
-                let full = self.chain_from_entity(ms, share.clone())?;
-                if Self::authz_of(&full).can_see(&who) {
-                    out.push(share);
-                }
-            }
-        }
-        Ok(out)
+        let prefix = keys::tree_group_prefix(&keys::tree_ms_prefix(ms), SecurableKind::Share.name_group());
+        self.visible_children(ms, &who, &prefix)
     }
 
     /// Tables within a share (recipient must have SELECT on the share).

@@ -128,51 +128,50 @@ pub fn verify_structure(db: &uc_txdb::Db, ms: &uc_catalog::Uid) -> Vec<Violation
     }
 
     let tree_rows = rt.scan_prefix(keys::T_TREE, &keys::tree_ms_prefix(ms));
-    // An unbuilt index (legacy layout) is vacuously consistent.
-    if !tree_rows.is_empty() {
-        let present: std::collections::BTreeSet<&str> =
-            tree_rows.iter().map(|(k, _)| k.as_str()).collect();
-        for (key, raw) in &tree_rows {
-            let ent = match Entity::decode(raw) {
-                Ok(e) => e,
-                Err(e) => {
-                    violations.push(Violation::TreeIndexMismatch {
-                        key: key.clone(),
-                        why: format!("undecodable value: {e}"),
-                    });
-                    continue;
-                }
-            };
-            match active.get(ent.id.as_str()) {
-                Some(ent_raw) if ent_raw == raw => {}
-                Some(_) => violations.push(Violation::TreeIndexMismatch {
+    let present: std::collections::BTreeSet<&str> =
+        tree_rows.iter().map(|(k, _)| k.as_str()).collect();
+    for (key, raw) in &tree_rows {
+        let ent = match Entity::decode(raw) {
+            Ok(e) => e,
+            Err(e) => {
+                violations.push(Violation::TreeIndexMismatch {
                     key: key.clone(),
-                    why: format!("value not byte-identical to entity row {}", ent.id),
-                }),
-                None => violations.push(Violation::TreeIndexMismatch {
-                    key: key.clone(),
-                    why: format!("orphan row: entity {} missing or inactive", ent.id),
-                }),
+                    why: format!("undecodable value: {e}"),
+                });
+                continue;
             }
-            for prefix in treekey::chain_prefixes(key) {
-                if !present.contains(prefix) {
-                    violations.push(Violation::TreeIndexMismatch {
-                        key: key.clone(),
-                        why: format!("ancestor prefix {prefix:?} has no row"),
-                    });
-                }
+        };
+        match active.get(ent.id.as_str()) {
+            Some(ent_raw) if ent_raw == raw => {}
+            Some(_) => violations.push(Violation::TreeIndexMismatch {
+                key: key.clone(),
+                why: format!("value not byte-identical to entity row {}", ent.id),
+            }),
+            None => violations.push(Violation::TreeIndexMismatch {
+                key: key.clone(),
+                why: format!("orphan row: entity {} missing or inactive", ent.id),
+            }),
+        }
+        for prefix in treekey::chain_prefixes(key) {
+            if !present.contains(prefix) {
+                violations.push(Violation::TreeIndexMismatch {
+                    key: key.clone(),
+                    why: format!("ancestor prefix {prefix:?} has no row"),
+                });
             }
         }
-        if tree_rows.len() != active.len() {
-            violations.push(Violation::TreeIndexMismatch {
-                key: keys::tree_ms_prefix(ms),
-                why: format!(
-                    "{} tree rows for {} active entities (must be 1:1)",
-                    tree_rows.len(),
-                    active.len()
-                ),
-            });
-        }
+    }
+    // The tree is the only name index: an empty or partial tree beside
+    // active entities is a mismatch, never a layout to tolerate.
+    if tree_rows.len() != active.len() {
+        violations.push(Violation::TreeIndexMismatch {
+            key: keys::tree_ms_prefix(ms),
+            why: format!(
+                "{} tree rows for {} active entities (must be 1:1)",
+                tree_rows.len(),
+                active.len()
+            ),
+        });
     }
 
     let path_rows = rt.scan_prefix(keys::T_PATH, &keys::path_ms_prefix(ms));
@@ -642,5 +641,34 @@ mod tests {
             )),
             "expected write mismatch or path overlap, got {vs:?}"
         );
+    }
+
+    /// The tree is the only name index, so a tree row missing behind the
+    /// service's back — one row, or the whole tree — is a violation even
+    /// though every entity row is intact.
+    #[test]
+    fn missing_tree_rows_are_tree_index_mismatches() {
+        use uc_catalog::model::keys;
+        let uc = uc_catalog::UnityCatalog::in_memory();
+        let ms = uc.create_metastore("admin", "m", "r").unwrap();
+        let ctx = uc_catalog::Context::user("admin");
+        uc.create_catalog(&ctx, &ms, "c").unwrap();
+        uc.create_schema(&ctx, &ms, "c", "s").unwrap();
+        assert_eq!(verify_structure(uc.db(), &ms), vec![], "clean service state");
+
+        let delete = |key: &str| {
+            let mut tx = uc.db().begin_write();
+            tx.delete(keys::T_TREE, key);
+            tx.commit().unwrap();
+        };
+        let is_tree_mismatch = |v: &Violation| matches!(v, Violation::TreeIndexMismatch { .. });
+        delete(&keys::tree_key(&ms, &[("catalog", "c"), ("schema", "s")]));
+        let partial = verify_structure(uc.db(), &ms);
+        assert!(partial.iter().any(is_tree_mismatch), "partial tree: {partial:?}");
+
+        delete(&keys::tree_key(&ms, &[("catalog", "c")]));
+        delete(&keys::tree_ms_prefix(&ms));
+        let empty = verify_structure(uc.db(), &ms);
+        assert!(empty.iter().any(is_tree_mismatch), "empty tree: {empty:?}");
     }
 }

@@ -15,6 +15,9 @@ use uc_obs::{Counter, Registry};
 pub struct DbStats {
     reads: Counter,
     scans: Counter,
+    /// Keys range scans stepped over, live or not: what a scan costs
+    /// beyond its one round trip.
+    scan_rows: Counter,
     writes: Counter,
     commits: Counter,
     conflicts: Counter,
@@ -26,6 +29,7 @@ impl DbStats {
         DbStats {
             reads: registry.counter("txdb.read.count"),
             scans: registry.counter("txdb.scan.count"),
+            scan_rows: registry.counter("txdb.scan.rows"),
             writes: registry.counter("txdb.write.rows"),
             commits: registry.counter("txdb.commit.count"),
             conflicts: registry.counter("txdb.commit.conflicts"),
@@ -38,6 +42,10 @@ impl DbStats {
 
     pub fn record_scan(&self) {
         self.scans.inc();
+    }
+
+    pub fn record_scan_rows(&self, n: u64) {
+        self.scan_rows.add(n);
     }
 
     pub fn record_write(&self, n: u64) {
@@ -58,6 +66,10 @@ impl DbStats {
 
     pub fn scans(&self) -> u64 {
         self.scans.get()
+    }
+
+    pub fn scan_rows(&self) -> u64 {
+        self.scan_rows.get()
     }
 
     pub fn writes(&self) -> u64 {

@@ -11,6 +11,7 @@
 //! because its version chain's latest CSN exceeds the snapshot.
 
 use std::collections::{BTreeMap, HashSet};
+use std::ops::Bound;
 
 use bytes::Bytes;
 use uc_cloudstore::faults::points;
@@ -56,15 +57,70 @@ impl ReadTxn {
         let Some(t) = guard.get(table) else {
             return Vec::new();
         };
-        t.range(prefix.to_string()..)
+        let mut visited = 0u64;
+        let out = t
+            .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
+            .inspect(|_| visited += 1)
             .filter_map(|(k, chain)| {
                 chain
                     .visible_at(self.snapshot)
                     .and_then(|v| v.value.clone())
                     .map(|val| (k.clone(), val))
             })
-            .collect()
+            .collect();
+        self.db.stats().record_scan_rows(visited);
+        out
+    }
+
+    /// Live rows exactly one [`CHAIN_SEP`]-terminated segment below
+    /// `prefix`, in key order. `prefix` is a tree key (every child of that
+    /// node) or a tree key plus a partial segment (the children in one
+    /// name group). After each child the scan seeks to the successor of
+    /// the child's key, skipping its whole subtree, so it steps over
+    /// O(children) keys however much lies below them. Charged as a
+    /// single scan.
+    pub fn scan_children(&self, table: &str, prefix: &str) -> Vec<(String, Bytes)> {
+        self.db.charge(OpClass::List);
+        self.db.stats().record_scan();
+        let guard = self.db.inner.tables.read();
+        let Some(t) = guard.get(table) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        let mut visited = 0u64;
+        let mut from = prefix.to_string();
+        loop {
+            let seek = (Bound::Included(from.as_str()), Bound::Unbounded);
+            let Some((k, chain)) = t.range::<str, _>(seek).next() else {
+                break;
+            };
+            if !k.starts_with(prefix) {
+                break;
+            }
+            visited += 1;
+            let Some(end) = k[prefix.len()..].find(CHAIN_SEP) else {
+                // Not a complete segment below `prefix` (e.g. the parent's
+                // own row): step to the next key.
+                from.clear();
+                from.push_str(k);
+                from.push('\u{0}');
+                continue;
+            };
+            let child_len = prefix.len() + end + 1;
+            if k.len() == child_len {
+                if let Some(v) = chain.visible_at(self.snapshot).and_then(|v| v.value.clone()) {
+                    out.push((k.clone(), v));
+                }
+            }
+            // Successor of every key under the child: its terminator
+            // bumped by one byte.
+            from.clear();
+            from.push_str(&k[..child_len - 1]);
+            from.push(SUBTREE_END);
+        }
+        self.db.stats().record_scan_rows(visited);
+        out
     }
 
     /// All live rows at the chain prefixes of `key` — every prefix ending
@@ -110,6 +166,10 @@ impl ReadTxn {
 /// Chain-prefix separator byte recognized by [`ReadTxn::scan_chain`] /
 /// [`WriteTxn::scan_chain`]: the tree-key segment terminator.
 pub const CHAIN_SEP: char = '\u{1}';
+
+/// The byte after [`CHAIN_SEP`]: a key ending in `SUBTREE_END` sorts after
+/// every key that extends the same key ending in `CHAIN_SEP`.
+const SUBTREE_END: char = '\u{2}';
 
 /// Every prefix of `key` ending at a [`CHAIN_SEP`] byte, shortest first.
 fn chain_prefixes(key: &str) -> impl Iterator<Item = &str> {
@@ -180,14 +240,17 @@ impl WriteTxn {
         self.db.stats().record_scan();
         let guard = self.db.inner.tables.read();
         let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();
+        let mut visited = 0u64;
         if let Some(t) = guard.get(table) {
             for (k, chain) in t.range(prefix.to_string()..).take_while(|(k, _)| k.starts_with(prefix)) {
+                visited += 1;
                 if let Some(v) = chain.visible_at(self.snapshot).and_then(|v| v.value.clone()) {
                     merged.insert(k.clone(), Some(v));
                 }
             }
         }
         drop(guard);
+        self.db.stats().record_scan_rows(visited);
         for ((t, k), v) in &self.writes {
             if t == table && k.starts_with(prefix) {
                 merged.insert(k.clone(), v.clone());
@@ -667,6 +730,30 @@ mod tests {
         let _ = db.begin_read().scan_chain("t", abc);
         assert_eq!(db.stats().scans() - scans0, 1);
         assert_eq!(db.stats().reads() - reads0, 0);
+    }
+
+    #[test]
+    fn scan_children_skips_each_child_subtree() {
+        let db = Db::in_memory();
+        put1(&db, "t", "ms\u{1}", "root");
+        for c in ["a", "b", "c"] {
+            put1(&db, "t", &format!("ms\u{1}g:{c}\u{1}"), c);
+            for t in 0..50 {
+                put1(&db, "t", &format!("ms\u{1}g:{c}\u{1}t{t}\u{1}"), "deep");
+            }
+        }
+        put1(&db, "t", "ms\u{1}h:z\u{1}", "other group");
+        let mut tx = db.begin_write();
+        tx.delete("t", "ms\u{1}g:b\u{1}");
+        tx.commit().unwrap();
+        let rows0 = db.stats().scan_rows();
+        let rt = db.begin_read();
+        let keys: Vec<String> =
+            rt.scan_children("t", "ms\u{1}g:").into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["ms\u{1}g:a\u{1}", "ms\u{1}g:c\u{1}"], "deleted child b is skipped");
+        assert_eq!(db.stats().scan_rows() - rows0, 3, "one key per child, subtrees skipped");
+        let all: Vec<String> = rt.scan_children("t", "ms\u{1}").into_iter().map(|(k, _)| k).collect();
+        assert_eq!(all, ["ms\u{1}g:a\u{1}", "ms\u{1}g:c\u{1}", "ms\u{1}h:z\u{1}"], "the parent row is not a child");
     }
 
     #[test]

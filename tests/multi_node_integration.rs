@@ -194,6 +194,42 @@ fn cold_node_bootstraps_cache_from_db_reads() {
     assert!(misses > 0, "first pass must miss");
 }
 
+/// Name-group listings are read at one metastore version. Node A warms
+/// its cache with a listing; node B then updates one member and creates
+/// another. Node A's next listing must show both changes or neither:
+/// mixing a cached (old) member with a freshly read (new) one yields a
+/// listing that no metastore version ever held.
+#[test]
+fn composite_listings_reflect_one_metastore_version() {
+    let world = World::build(&WorldConfig::default());
+    let ctx = Context::user(ADMIN);
+    let node_a = &world.uc;
+    node_a.create_catalog(&ctx, &world.ms, "c").unwrap();
+    node_a.create_share(&ctx, &world.ms, "sh").unwrap();
+    let node_b = spawn_node(&world, "node-b");
+
+    let names = |ents: &[Arc<uc_catalog::Entity>]| -> Vec<String> {
+        ents.iter().map(|e| e.name.clone()).collect()
+    };
+    assert_eq!(names(&node_a.list_catalogs(&ctx, &world.ms).unwrap()), ["c"]);
+    assert_eq!(names(&node_a.list_shares(&ctx, &world.ms).unwrap()), ["sh"]);
+
+    for (name, group) in [("c", "catalog"), ("sh", "share")] {
+        node_b
+            .update_comment(&ctx, &world.ms, &FullName::parse(name).unwrap(), group, "new")
+            .unwrap();
+    }
+    node_b.create_catalog(&ctx, &world.ms, "e").unwrap();
+    node_b.create_share(&ctx, &world.ms, "sh2").unwrap();
+
+    let catalogs = node_a.list_catalogs(&ctx, &world.ms).unwrap();
+    assert_eq!(names(&catalogs), ["c", "e"]);
+    assert_eq!(catalogs[0].comment.as_deref(), Some("new"), "c read at the listing's version");
+    let shares = node_a.list_shares(&ctx, &world.ms).unwrap();
+    assert_eq!(names(&shares), ["sh", "sh2"]);
+    assert_eq!(shares[0].comment.as_deref(), Some("new"), "sh read at the listing's version");
+}
+
 #[test]
 fn truncated_changelog_forces_full_reconcile() {
     // If the change log was truncated past a node's position, selective

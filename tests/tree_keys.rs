@@ -2,12 +2,13 @@
 //! (DESIGN.md §11) plus the single-range-scan acceptance assertions:
 //! listing children, cascading a subtree drop, and resolving a qualified
 //! name (the chain privilege inheritance evaluates over) must each cost
-//! exactly one range scan over the tree-encoded keyspace.
+//! exactly one range scan over the tree-encoded keyspace, and the tree is
+//! the only name index an entity write maintains.
 
 use proptest::prelude::*;
 
 use uc_bench::{World, WorldConfig};
-use uc_catalog::model::treekey;
+use uc_catalog::model::{keys, treekey};
 use uc_catalog::service::crud::{BulkSchemaSpec, TableSpec};
 use uc_catalog::service::Context;
 use uc_catalog::types::FullName;
@@ -158,6 +159,53 @@ fn list_children_is_one_range_scan() {
         1,
         "listing must be a single range scan of the tree index"
     );
+}
+
+/// Listing catalogs is one child-only scan of the metastore's catalog
+/// group: the scan skips each catalog's subtree, so the keys it steps over
+/// do not grow with the number of tables under the catalogs.
+#[test]
+fn list_catalogs_is_one_scan_independent_of_tables() {
+    let world = World::build(&WorldConfig::default());
+    let ctx = world.admin();
+    let columns = Schema::new(vec![Field::new("x", DataType::Int)]);
+    let mut visited = Vec::new();
+    for (round, tables) in [0usize, 50, 500].into_iter().enumerate() {
+        let catalog = format!("c{round}");
+        world.uc.create_catalog(&ctx, &world.ms, &catalog).unwrap();
+        let specs = [BulkSchemaSpec {
+            name: "s".into(),
+            tables: (0..tables).map(|t| format!("t{t}")).collect(),
+        }];
+        world.uc.bulk_create_tables(&ctx, &world.ms, &catalog, &specs, &columns, 100).unwrap();
+        let (scans0, rows0) = (world.db.stats().scans(), world.db.stats().scan_rows());
+        let listed = world.uc.list_catalogs(&ctx, &world.ms).unwrap();
+        assert_eq!(listed.len(), round + 1);
+        assert_eq!(world.db.stats().scans() - scans0, 1, "listing must be a single scan");
+        visited.push(world.db.stats().scan_rows() - rows0);
+    }
+    assert_eq!(visited, [1, 2, 3], "one key per catalog, however many tables lie below");
+}
+
+/// One `create_table` writes two entity-bearing rows — the `T_ENTITY`
+/// home and the byte-identical `T_TREE` name-index row — plus its path
+/// registration and the metastore version: no name→id pointer row.
+#[test]
+fn create_table_writes_no_name_pointer_row() {
+    let (world, ctx) = seeded_world(&[]);
+    let (csn0, writes0) = (world.db.current_csn(), world.db.stats().writes());
+    let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
+    world
+        .uc
+        .create_table(&ctx, &world.ms, TableSpec::managed("main.s.t", schema).unwrap())
+        .unwrap();
+    assert_eq!(world.db.stats().writes() - writes0, 4);
+    let changes = world.db.changelog().changes_since(csn0);
+    let mut tables: Vec<&str> = changes.iter().map(|c| c.table.as_str()).collect();
+    tables.sort_unstable();
+    assert_eq!(tables, [keys::T_ENTITY, keys::T_MSVER, keys::T_PATH, keys::T_TREE]);
+    let value_in = |table: &str| changes.iter().find(|c| c.table == table).and_then(|c| c.value.clone());
+    assert_eq!(value_in(keys::T_ENTITY), value_in(keys::T_TREE), "tree row carries the entity row");
 }
 
 /// Dropping a schema cascades to every descendant in one range scan of
