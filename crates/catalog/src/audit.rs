@@ -110,7 +110,6 @@ pub const KNOWN_OPS: &[(&str, &[&str])] = &[
     ("read_table_commit", &["readTableCommit"]),
     ("rename_securable", &["renameSecurable"]),
     ("renew_read_credential", &["renewTemporaryCredentials"]),
-    ("resolve_batch", &["resolveBatch"]),
     ("resolve_for_query", &["resolveForQuery"]),
     ("resolve_model_version", &["resolveModelVersion"]),
     ("revoke", &["revoke"]),

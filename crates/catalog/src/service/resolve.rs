@@ -9,6 +9,9 @@
 //! views over hundreds of base tables resolve in a single round trip,
 //! which is the batching optimization §4.5 credits for interactive-query
 //! latency.
+//!
+//! [`UnityCatalog::resolve_for_query`] is the only relation resolver: the
+//! engine, both REST route names and the serving plane all call it.
 
 use std::sync::Arc;
 
@@ -20,6 +23,7 @@ use crate::authz::abac::AbacPolicy;
 use crate::authz::decision::AuthzContext;
 use crate::authz::fgac::FgacPolicies;
 use crate::authz::Privilege;
+use crate::cache::MsCache;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
 use crate::model::entity::Entity;
@@ -29,6 +33,16 @@ use crate::types::{FullName, SecurableKind};
 
 /// Maximum view-nesting depth resolved in one call.
 const MAX_DEPTH: usize = 12;
+
+/// A `catalog.schema` memoised by one resolve call: its tree key and
+/// `[schema, catalog, metastore]`, read at cache `version`.
+struct Container<'a> {
+    catalog: &'a str,
+    schema: &'a str,
+    version: u64,
+    key: String,
+    chain: Vec<Arc<Entity>>,
+}
 
 /// One fully resolved securable.
 #[derive(Debug, Clone)]
@@ -46,8 +60,15 @@ pub struct ResolvedSecurable {
 }
 
 impl UnityCatalog {
-    /// Resolve all `refs` (tables/views) for a read query in one batched
-    /// call.
+    /// Resolve all `refs` (tables/views) for a read query in one call.
+    /// The first ref in each `catalog.schema` resolves whole with
+    /// [`Self::lookup_chain`] and memoises the schema's container chain;
+    /// later refs there cost one leaf probe. A memoised chain is reused
+    /// only while the metastore cache version is unchanged: the version is
+    /// read before the chain is filled or reused and again after the leaf
+    /// lookup, and if it moved, that ref resolves whole again and refills
+    /// the memo. So every decision sees its chain and its leaf at one
+    /// version. With the cache off every ref takes `lookup_chain`.
     pub fn resolve_for_query(
         &self,
         ctx: &Context,
@@ -57,11 +78,15 @@ impl UnityCatalog {
     ) -> UcResult<Vec<ResolvedSecurable>> {
         let _api = self.api_enter_t("resolve_for_query", ctx, ms);
         let who = self.authz_context(ms, &ctx.principal)?;
+        let cache = self.config.cache.enabled.then(|| self.cache.for_metastore(ms));
+        // One entry per distinct schema in `refs`.
+        let mut memo: Vec<Container> = Vec::new();
         let mut out = Vec::with_capacity(refs.len());
         for name in refs {
-            // Reuse the resolved chain for the ancestor walk and evaluate
-            // access over the borrowed entities (no AuthzNode copies).
-            let full = self.extend_chain(ms, self.lookup_chain(ms, name, "relation")?)?;
+            let full = match &cache {
+                Some(c) if name.len() == 3 => self.memo_chain(ms, c, &mut memo, name)?,
+                _ => self.extend_chain(ms, self.lookup_chain(ms, name, "relation")?)?,
+            };
             let entity = full[0].clone();
             self.enforce_workspace_binding(ctx, &full)?;
             if !crate::authz::decision::can_read_data(&full, &who, Privilege::Select) {
@@ -78,84 +103,42 @@ impl UnityCatalog {
         Ok(out)
     }
 
-    /// Resolve all `refs` in one batched pass, sharing the work the
-    /// per-ref path repeats: the authorization context is built once, the
-    /// metastore cache `Arc` is resolved once, and every container
-    /// (catalog, schema) plus the chain above it is resolved exactly once
-    /// per batch however many leaves sit under it — N tables in one
-    /// schema walk the shared prefix a single time. This is the paper's
-    /// Fig 1 engine-step batching generalized into a service entry point:
-    /// the serving plane combines concurrent engines' resolve traffic
-    /// into these calls (see `crates/serve`).
-    pub fn resolve_batch(
+    /// `[leaf, schema, catalog, metastore]` for the three-part `name`,
+    /// read at one cache version, the container part through `memo`.
+    fn memo_chain<'a>(
         &self,
-        ctx: &Context,
         ms: &Uid,
-        refs: &[FullName],
-        want_credentials: bool,
-    ) -> UcResult<Vec<ResolvedSecurable>> {
-        let _api = self.api_enter_t("resolve_batch", ctx, ms);
-        let who = self.authz_context(ms, &ctx.principal)?;
-        // Batch-local memo of container chains, keyed by the container's
-        // qualified prefix: the schema's tree key plus
-        // `[schema, catalog, …, metastore]` for `catalog.schema`. Bounded
-        // by the number of distinct prefixes in `refs`, which the serving
-        // plane caps per batch.
-        let mut prefixes: std::collections::HashMap<String, (String, Vec<Arc<Entity>>)> =
-            std::collections::HashMap::new();
-        let mut out = Vec::with_capacity(refs.len());
-        for name in refs {
-            let full = match name.schema() {
-                Some(schema_name) if name.len() == 3 => {
-                    let prefix = format!("{}.{schema_name}", name.catalog());
-                    let (schema_key, upper) = match prefixes.get(&prefix) {
-                        Some(memo) => memo.clone(),
-                        None => {
-                            let container = FullName::of(&[name.catalog(), schema_name]);
-                            let chain = self.extend_chain(
-                                ms,
-                                self.lookup_chain(ms, &container, "schema")?,
-                            )?;
-                            let schema_key =
-                                keys::tree_key(ms, &[("catalog", name.catalog()), ("schema", schema_name)]);
-                            prefixes.insert(prefix, (schema_key.clone(), chain.clone()));
-                            (schema_key, chain)
-                        }
-                    };
-                    // Only the leaf remains to resolve for this ref: one
-                    // get on the schema's tree key plus the leaf segment.
-                    let asset = name
-                        .asset()
-                        .ok_or_else(|| UcError::InvalidArgument(format!("malformed name {name}")))?;
-                    let mut leaf_key = schema_key;
-                    keys::tree_push_child(&mut leaf_key, "relation", asset);
-                    let leaf = self
-                        .entity_by_tree_key(ms, &leaf_key)?
-                        .ok_or_else(|| UcError::NotFound(name.to_string()))?;
-                    let mut full = Vec::with_capacity(upper.len() + 1);
-                    full.push(leaf);
-                    full.extend(upper.iter().cloned());
-                    full
-                }
-                // Shorter/longer names (metastore-level securables, model
-                // versions) take the generic walk; they are rare in
-                // engine resolve traffic.
-                _ => self.extend_chain(ms, self.lookup_chain(ms, name, "relation")?)?,
-            };
-            let entity = full[0].clone();
-            self.enforce_workspace_binding(ctx, &full)?;
-            if !crate::authz::decision::can_read_data(&full, &who, Privilege::Select) {
-                self.record_audit(&ctx.principal, "resolveBatch", Some(&entity.id), AuditDecision::Deny, name);
-                return Err(UcError::PermissionDenied(format!(
-                    "SELECT (plus USE on containers) required on {name}"
-                )));
+        cache: &MsCache,
+        memo: &mut Vec<Container<'a>>,
+        name: &'a FullName,
+    ) -> UcResult<Vec<Arc<Entity>>> {
+        let (catalog, schema) = (name.catalog(), name.parts[1].as_str());
+        let version = cache.version();
+        let at = memo.iter().position(|c| c.catalog == catalog && c.schema == schema);
+        if let Some(c) = at.map(|i| &memo[i]).filter(|c| c.version == version) {
+            let mut leaf_key = c.key.clone();
+            keys::tree_push_child(&mut leaf_key, "relation", &name.parts[2]);
+            let leaf = self.entity_by_tree_key_in(ms, cache, &leaf_key)?;
+            if cache.version() == version {
+                let leaf = leaf.ok_or_else(|| UcError::NotFound(name.to_string()))?;
+                let mut full = Vec::with_capacity(c.chain.len() + 1);
+                full.push(leaf);
+                full.extend(c.chain.iter().cloned());
+                return Ok(full);
             }
-            let resolved =
-                self.resolve_entity(ctx, ms, &who, entity, &full, want_credentials, 0)?;
-            self.record_audit(&ctx.principal, "resolveBatch", Some(&resolved.entity.id), AuditDecision::Allow, name);
-            out.push(resolved);
         }
-        Ok(out)
+        // No chain memoised at this version, or a write landed between
+        // the chain and the leaf reads: resolve the whole name and refill
+        // the memo, tagged with a version read before the lookup.
+        let version = cache.version();
+        let full = self.extend_chain(ms, self.lookup_chain(ms, name, "relation")?)?;
+        let key = keys::tree_key(ms, &[("catalog", catalog), ("schema", schema)]);
+        let filled = Container { catalog, schema, version, key, chain: full[1..].to_vec() };
+        match at {
+            Some(i) => memo[i] = filled,
+            None => memo.push(filled),
+        }
+        Ok(full)
     }
 
     /// Resolve one entity plus its dependency closure. Dependencies of a

@@ -260,7 +260,8 @@ impl RestApi {
                     "signature": token.signature,
                 }))
             }
-            "tables.resolve" => {
+            // `tables.resolveBatch` is kept as an alias of `tables.resolve`.
+            "tables.resolve" | "tables.resolveBatch" => {
                 let names = params
                     .get("names")
                     .and_then(|v| v.as_array())
@@ -275,31 +276,6 @@ impl RestApi {
                     .and_then(|v| v.as_bool())
                     .unwrap_or(false);
                 let resolved = self.uc.resolve_for_query(&ctx, ms, &refs, want_creds)?;
-                Ok(json!({
-                    "securables": resolved.iter().map(|r| json!({
-                        "entity": entity_json(&r.entity),
-                        "has_row_filter": r.fgac.row_filter.is_some(),
-                        "masked_columns": r.fgac.column_masks.iter().map(|m| m.column.clone()).collect::<Vec<_>>(),
-                        "dependencies": r.dependencies.iter().map(|d| d.entity.name.clone()).collect::<Vec<_>>(),
-                        "has_credential": r.read_credential.is_some(),
-                    })).collect::<Vec<_>>()
-                }))
-            }
-            "tables.resolveBatch" => {
-                let names = params
-                    .get("names")
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| bad_request("missing 'names' array"))?;
-                let mut refs = Vec::with_capacity(names.len());
-                for n in names {
-                    let s = n.as_str().ok_or_else(|| bad_request("names must be strings"))?;
-                    refs.push(FullName::parse(s)?);
-                }
-                let want_creds = params
-                    .get("with_credentials")
-                    .and_then(|v| v.as_bool())
-                    .unwrap_or(false);
-                let resolved = self.uc.resolve_batch(&ctx, ms, &refs, want_creds)?;
                 Ok(json!({
                     "securables": resolved.iter().map(|r| json!({
                         "entity": entity_json(&r.entity),
@@ -506,15 +482,17 @@ mod tests {
             .unwrap();
         api.handle(&admin, &ms, "tables.create", &json!({"name": "main.s.b", "columns": columns_json()}))
             .unwrap();
-        let resolved = api
-            .handle(&admin, &ms, "tables.resolve", &json!({
-                "names": ["main.s.a", "main.s.b"],
-                "with_credentials": true,
-            }))
-            .unwrap();
+        let params = json!({
+            "names": ["main.s.a", "main.s.b"],
+            "with_credentials": true,
+        });
+        let resolved = api.handle(&admin, &ms, "tables.resolve", &params).unwrap();
         let securables = resolved["securables"].as_array().unwrap();
         assert_eq!(securables.len(), 2);
         assert_eq!(securables[0]["has_credential"], true);
+        // The batch route name is an alias: same resolver, same response.
+        let batched = api.handle(&admin, &ms, "tables.resolveBatch", &params).unwrap();
+        assert_eq!(batched, resolved);
 
         let events = api.handle(&admin, &ms, "events.list", &json!({"offset": 0})).unwrap();
         assert!(events["events"].as_array().unwrap().len() >= 4);

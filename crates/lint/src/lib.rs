@@ -277,11 +277,18 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
     let mut api_seed = vec![false; n];
     let mut audit_seed = vec![false; n];
     let mut deny_seed = vec![false; n];
+    // Literal ops opened and actions recorded anywhere: what keeps a
+    // KNOWN_OPS row live.
+    let mut opened_ops = BTreeSet::new();
+    let mut recorded_actions = BTreeSet::new();
     for (i, d) in graph.defs.iter().enumerate() {
         let toks = &units[d.unit].lexed.tokens;
-        if rules::instrument::direct_api_op(toks, d.body).is_some() {
+        if let Some((op, _)) = rules::instrument::direct_api_op(toks, d.body) {
             api_seed[i] = true;
+            opened_ops.insert(op);
         }
+        recorded_actions
+            .extend(rules::instrument::audit_literals(toks, d.body).into_iter().map(|t| t.text.clone()));
         if d.name == "record_audit"
             || (audit_file.as_deref() == Some(d.file.as_str()) && d.name == "record")
         {
@@ -350,6 +357,10 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
         report
             .lock_classes
             .push(format!("{class}  [{file}:{line}] ({count} site(s))"));
+    }
+
+    if let (Some(audit_file), Some(known)) = (audit_file.as_deref(), known.as_ref()) {
+        rules::instrument::check_stale_rows(audit_file, known, &opened_ops, &recorded_actions, &mut diags);
     }
 
     // Stale-config: every Lint.toml entry must still resolve against the

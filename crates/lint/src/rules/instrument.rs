@@ -10,6 +10,7 @@
 //! literals must belong to that op's allowed set, and any function that
 //! denies with `PermissionDenied` must reach an `AuditDecision::Deny`
 //! (its own body or a callee's — the deny audit may live in a helper).
+//! A `KNOWN_OPS` row nothing opens or records is flagged as stale.
 //!
 //! Known false negatives (DESIGN.md §8): actions passed as variables are
 //! not checked (`vend_for_entity`-style helpers), the Deny check is
@@ -34,8 +35,15 @@ pub struct Reach {
     pub deny: bool,
 }
 
-/// op → allowed audit actions, parsed out of the audit module source.
-pub type KnownOps = BTreeMap<String, Vec<String>>;
+/// One `KNOWN_OPS` row: the line it starts on and its allowed actions.
+#[derive(Debug, Clone)]
+pub struct OpRow {
+    pub line: u32,
+    pub actions: Vec<String>,
+}
+
+/// op → its `KNOWN_OPS` row, parsed out of the audit module source.
+pub type KnownOps = BTreeMap<String, OpRow>;
 
 /// Extract the `KNOWN_OPS: &[(&str, &[&str])]` table from the audit
 /// module's token stream. Returns None when the table is absent.
@@ -47,7 +55,7 @@ pub fn parse_known_ops(tokens: &[Token]) -> Option<KnownOps> {
     let mut ops = KnownOps::new();
     let mut depth = 0i64;
     let mut i = start;
-    let mut current: Option<(String, Vec<String>)> = None;
+    let mut current: Option<(String, OpRow)> = None;
     // Walk the initializer: entries look like `("op", &["a", "b"])`.
     while i < tokens.len() {
         let t = &tokens[i];
@@ -59,19 +67,19 @@ pub fn parse_known_ops(tokens: &[Token]) -> Option<KnownOps> {
                 break;
             }
         } else if is_punct(t, "(") && depth == 1 {
-            current = Some((String::new(), Vec::new()));
+            current = Some((String::new(), OpRow { line: t.line, actions: Vec::new() }));
         } else if is_punct(t, ")") && depth == 1 {
-            if let Some((op, actions)) = current.take() {
+            if let Some((op, row)) = current.take() {
                 if !op.is_empty() {
-                    ops.insert(op, actions);
+                    ops.insert(op, row);
                 }
             }
         } else if t.kind == Kind::Str {
-            if let Some((op, actions)) = current.as_mut() {
+            if let Some((op, row)) = current.as_mut() {
                 if op.is_empty() {
                     *op = t.text.clone();
                 } else {
-                    actions.push(t.text.clone());
+                    row.actions.push(t.text.clone());
                 }
             }
         } else if is_punct(t, ";") && depth == 0 && i > start {
@@ -104,6 +112,49 @@ pub fn direct_api_op(toks: &[Token], range: (usize, usize)) -> Option<(String, u
         }
     }
     None
+}
+
+/// The single-literal actions of the `record_audit(principal, action,
+/// …)` calls in a token range.
+pub fn audit_literals(toks: &[Token], (open, close): (usize, usize)) -> Vec<&Token> {
+    let mut found = Vec::new();
+    let mut i = open;
+    while i < close {
+        if is_ident(&toks[i], "record_audit") && i + 1 < close && is_punct(&toks[i + 1], "(") {
+            let (args, after) = call_args(toks, i + 1);
+            if let Some([only]) = args.get(1).map(|a| a.as_slice()) {
+                if toks[*only].kind == Kind::Str {
+                    found.push(&toks[*only]);
+                }
+            }
+            i = after;
+        } else {
+            i += 1;
+        }
+    }
+    found
+}
+
+/// Flag `KNOWN_OPS` rows whose op no `api_enter*` call opens and none of
+/// whose actions a `record_audit` call records as a literal, over the
+/// whole workspace (`serve_admit` stays live through `requestShed`).
+pub fn check_stale_rows(
+    audit_file: &str,
+    known: &KnownOps,
+    opened: &BTreeSet<String>,
+    recorded: &BTreeSet<String>,
+    out: &mut Vec<Diagnostic>,
+) {
+    for (op, row) in known {
+        if !opened.contains(op) && !row.actions.iter().any(|a| recorded.contains(a)) {
+            out.push(Diagnostic {
+                file: audit_file.to_string(),
+                line: row.line,
+                rule: RULE_INSTRUMENT,
+                message: format!("KNOWN_OPS row \"{op}\" is stale: no api_enter opens it and no record_audit records any of its actions"),
+            });
+        }
+    }
 }
 
 /// Split a call's argument tokens into top-level comma-separated args.
@@ -166,7 +217,7 @@ pub fn check(
     };
     let impl_type = ctx.cfg.str("instrument", "impl_type").unwrap_or_default();
     let global_actions: BTreeSet<&str> =
-        known.values().flat_map(|v| v.iter().map(|s| s.as_str())).collect();
+        known.values().flat_map(|row| row.actions.iter().map(|s| s.as_str())).collect();
     let toks = ctx.tokens;
 
     for (fn_idx, f) in ctx.scan.fns.iter().enumerate() {
@@ -192,7 +243,7 @@ pub fn check(
         // those entries are exempt (the exemption lives in KNOWN_OPS, not
         // in per-site pragmas).
         let declares_audit = match &direct {
-            Some((op, _)) => known.get(op).is_none_or(|a| !a.is_empty()),
+            Some((op, _)) => known.get(op).is_none_or(|row| !row.actions.is_empty()),
             None => false, // no op span: the api_enter diagnostic above covers it
         };
         if is_entry && has_audit_target && declares_audit && !r.audit {
@@ -215,36 +266,21 @@ pub fn check(
         // (a) Every literal action handed to record_audit must be a known
         // action — catches ad-hoc names like "create" that exist in no
         // op's allowed set.
-        let mut i = open;
-        while i < close {
-            if is_ident(&toks[i], "record_audit") && i + 1 < close && is_punct(&toks[i + 1], "(") {
-                let (args, after) = call_args(toks, i + 1);
-                // record_audit(principal, action, entity, decision, detail)
-                if let Some(arg) = args.get(1) {
-                    if let [only] = arg.as_slice() {
-                        if toks[*only].kind == Kind::Str {
-                            let action = toks[*only].text.as_str();
-                            if !global_actions.contains(action) {
-                                out.push(ctx.diag(
-                                    toks[*only].line,
-                                    RULE_INSTRUMENT,
-                                    format!("audit action \"{action}\" is not in audit::KNOWN_OPS"),
-                                ));
-                            }
-                        }
-                    }
-                }
-                i = after;
-                continue;
+        for action in audit_literals(toks, (open, close)) {
+            if !global_actions.contains(action.text.as_str()) {
+                out.push(ctx.diag(
+                    action.line,
+                    RULE_INSTRUMENT,
+                    format!("audit action \"{}\" is not in audit::KNOWN_OPS", action.text),
+                ));
             }
-            i += 1;
         }
         // (b) In an op-bearing function, any string literal that IS a
         // known audit action must be allowed for that op — catches
         // cross-op mixups even when the action travels through a helper
         // (e.g. vend_for_entity) rather than record_audit directly.
         if let Some((op, _)) = &direct {
-            if let Some(allowed) = known.get(op) {
+            if let Some(allowed) = known.get(op).map(|row| &row.actions) {
                 for t in toks.iter().take(close).skip(open) {
                     if t.kind == Kind::Str
                         && global_actions.contains(t.text.as_str())

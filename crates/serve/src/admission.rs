@@ -65,15 +65,6 @@ impl Admission {
         Some(AdmissionGuard { admission: self, metrics, key })
     }
 
-    /// Current in-flight depth for a tenant (test/bench introspection).
-    pub(crate) fn depth(&self, ms: &Uid, principal: &str) -> usize {
-        let admission = self.admission.lock();
-        admission
-            .get(&(ms.clone(), principal.to_string()))
-            .copied()
-            .unwrap_or(0)
-    }
-
     fn release(&self, key: &(Uid, String)) {
         let mut admission = self.admission.lock();
         if let Some(depth) = admission.get_mut(key) {

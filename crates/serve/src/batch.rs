@@ -6,7 +6,7 @@
 //! queue a compatible group at a time — same principal, engine identity,
 //! workspace, and credential mode, so one combined call is
 //! authorization-equivalent to the per-request calls it replaces — and
-//! executes a single [`UnityCatalog::resolve_batch`] for the whole
+//! executes a single [`UnityCatalog::resolve_for_query`] for the whole
 //! group, splitting the positional result back onto each request's slot.
 //! There is no dispatcher thread and no timer: batch size grows with
 //! concurrency naturally (a lone request is a batch of one), exactly the
@@ -16,9 +16,10 @@
 //! it is not itself part of* — the leader-active flag guarantees some
 //! thread owns every enqueued item, and the flag only clears under the
 //! same lock that proves the queue is empty, so no item can be enqueued
-//! and then orphaned. If the combined call fails, the leader falls back
-//! to per-item [`UnityCatalog::resolve_for_query`] so one poisoned
-//! request cannot fail its whole group.
+//! and then orphaned. If the combined call fails, [`dispatch`] resolves
+//! each request alone so one poisoned request cannot fail its whole
+//! group. The deterministic replay ([`crate::replay`]) calls the same
+//! [`dispatch`], so both execution modes run one combining policy.
 //!
 //! The queue is bounded by `batch_queue_capacity` (checked before the
 //! push — the `bounded-queue` lint invariant); overflow sheds with the
@@ -120,12 +121,6 @@ impl Batcher {
         }
     }
 
-    /// Queued (not yet dispatched) resolve requests (introspection).
-    pub(crate) fn queued(&self) -> usize {
-        let pending = self.pending.lock();
-        pending.items.len()
-    }
-
     /// Serve one resolve request through the combining queue.
     /// [admission]
     #[allow(clippy::too_many_arguments)]
@@ -216,46 +211,48 @@ impl Batcher {
                 group
             };
             yield_point(points::SERVE_DISPATCH);
-            self.dispatch(uc, metrics, group);
+            let sig = &group[0].sig;
+            let items: Vec<&[FullName]> = group.iter().map(|item| item.refs.as_slice()).collect();
+            let results = dispatch(uc, metrics, &sig.context(), &sig.ms, sig.want_credentials, &items);
+            for (item, result) in group.iter().zip(results) {
+                item.slot.publish(result);
+            }
         }
     }
+}
 
-    /// Execute one compatible group as a single combined call and split
-    /// the positional result back onto each item's slot.
-    fn dispatch(&self, uc: &UnityCatalog, metrics: &ServeMetrics, group: Vec<PendingItem>) {
-        if group.is_empty() {
-            return;
+/// Resolve one compatible group of requests (`items`, one ref list per
+/// request) with a single combined [`UnityCatalog::resolve_for_query`]
+/// and split the positional result back into one result per request.
+/// If the combined call fails (one denied ref fails all of it), each
+/// request is resolved alone, so each gets its own success or error.
+/// Both execution modes dispatch through here: the threaded batcher's
+/// leader and the deterministic replay.
+pub(crate) fn dispatch(
+    uc: &UnityCatalog,
+    metrics: &ServeMetrics,
+    ctx: &Context,
+    ms: &Uid,
+    want_credentials: bool,
+    items: &[&[FullName]],
+) -> Vec<UcResult<Vec<ResolvedSecurable>>> {
+    metrics.batches.inc();
+    metrics.batch_size.record(items.len() as u64);
+    let combined: Vec<FullName> = items.iter().flat_map(|refs| refs.iter().cloned()).collect();
+    match uc.resolve_for_query(ctx, ms, &combined, want_credentials) {
+        Ok(mut resolved) => {
+            // Split positionally, back to front so each split is O(1).
+            let mut splits: Vec<UcResult<Vec<ResolvedSecurable>>> = items
+                .iter()
+                .rev()
+                .map(|refs| Ok(resolved.split_off(resolved.len().saturating_sub(refs.len()))))
+                .collect();
+            splits.reverse();
+            splits
         }
-        let sig = group[0].sig.clone();
-        let ctx = sig.context();
-        metrics.batches.inc();
-        metrics.batch_size.record(group.len() as u64);
-        let combined: Vec<FullName> =
-            group.iter().flat_map(|item| item.refs.iter().cloned()).collect();
-        match uc.resolve_batch(&ctx, &sig.ms, &combined, sig.want_credentials) {
-            Ok(mut resolved) => {
-                // Split positionally, back to front so each split is O(1).
-                let mut splits: Vec<Vec<ResolvedSecurable>> =
-                    Vec::with_capacity(group.len());
-                for item in group.iter().rev() {
-                    let at = resolved.len().saturating_sub(item.refs.len());
-                    splits.push(resolved.split_off(at));
-                }
-                splits.reverse();
-                for (item, split) in group.iter().zip(splits) {
-                    item.slot.publish(Ok(split));
-                }
-            }
-            Err(_) => {
-                // Combined call failed (e.g. one ref denied poisons the
-                // batch): retry per item so each request gets its own
-                // success-or-error, preserving single-request semantics.
-                for item in &group {
-                    let one =
-                        uc.resolve_for_query(&ctx, &sig.ms, &item.refs, sig.want_credentials);
-                    item.slot.publish(one);
-                }
-            }
-        }
+        Err(_) => items
+            .iter()
+            .map(|refs| uc.resolve_for_query(ctx, ms, refs, want_credentials))
+            .collect(),
     }
 }

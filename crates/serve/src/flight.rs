@@ -94,12 +94,6 @@ impl FlightMap {
         FlightMap { flights: Mutex::new(HashMap::new()) }
     }
 
-    /// Flights currently in progress (test/bench introspection).
-    pub(crate) fn in_flight(&self) -> usize {
-        let flights = self.flights.lock();
-        flights.len()
-    }
-
     /// Serve one `getTable` through the flight table: join an existing
     /// flight as a follower, or create one and lead it.
     #[allow(clippy::too_many_arguments)]

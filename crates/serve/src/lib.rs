@@ -23,7 +23,8 @@
 //! * **Batched resolution** ([`batch`]): concurrent `resolve` requests
 //!   combine, group-commit style — the first arrival becomes the batch
 //!   leader, drains compatible queued requests, and executes one
-//!   [`UnityCatalog::resolve_batch`] call for all of them. Batch size
+//!   [`UnityCatalog::resolve_for_query`] call for all of them, falling
+//!   back to one call per request if the combined call fails. Batch size
 //!   grows with concurrency naturally; no dispatcher thread exists.
 //!
 //! * **Bounded per-tenant admission** ([`admission`]): each tenant
@@ -34,7 +35,9 @@
 //!   never a silent drop. Shed-and-retry clients use the bounded
 //!   virtual-clock backoff helpers.
 //!
-//! Two execution modes share this policy code. The concurrent mode
+//! Two execution modes share this policy code: one admission check,
+//! one combined-resolve dispatch ([`batch`]) and one backoff formula
+//! ([`RetryPolicy::backoff_ms`]). The concurrent mode
 //! (`get_table`/`resolve` called from many threads) powers the
 //! `fig10b_serve` bench; the deterministic mode ([`replay`]) drives an
 //! open-loop [`uc_workload::openloop::Schedule`] single-threaded on the
@@ -77,8 +80,16 @@ pub mod points {
 pub struct RetryPolicy {
     /// Retries after the first shed (0 = never retry).
     pub max_retries: u32,
-    /// Backoff before retry `k` is `base_ms << min(k, 6)`.
+    /// Base of the exponential backoff ([`RetryPolicy::backoff_ms`]).
     pub base_ms: u64,
+}
+
+impl RetryPolicy {
+    /// Backoff before retry `attempt` (0-based): `base_ms << min(attempt,
+    /// 6)`, at least 1 ms.
+    pub fn backoff_ms(&self, attempt: u32) -> u64 {
+        self.base_ms.max(1) << attempt.min(6)
+    }
 }
 
 impl Default for RetryPolicy {
@@ -92,7 +103,7 @@ impl Default for RetryPolicy {
 pub struct ServeConfig {
     /// Per-tenant in-flight budget; request N+1 is shed.
     pub queue_capacity: usize,
-    /// Maximum requests combined into one `resolve_batch` dispatch.
+    /// Maximum requests combined into one `resolve_for_query` dispatch.
     pub max_batch: usize,
     /// Bound on the combining queue across tenants (belt-and-braces on
     /// top of per-tenant admission; overflow sheds).
@@ -214,21 +225,6 @@ impl ServePlane {
 
     pub fn catalog(&self) -> &Arc<UnityCatalog> {
         &self.uc
-    }
-
-    /// Coalescing flights currently in progress.
-    pub fn flights_in_progress(&self) -> usize {
-        self.flights.in_flight()
-    }
-
-    /// Resolve requests queued in the combining batcher.
-    pub fn batch_queue_len(&self) -> usize {
-        self.batcher.queued()
-    }
-
-    /// A tenant's current admitted in-flight depth.
-    pub fn tenant_depth(&self, ms: &Uid, principal: &str) -> usize {
-        self.admission.depth(ms, principal)
     }
 
     /// Register the human-readable alias rendered into this metastore's
@@ -361,7 +357,7 @@ impl ServePlane {
     /// virtual time advances (chaos/replay runs stay instant and
     /// deterministic); on a system clock the thread sleeps.
     pub(crate) fn backoff(&self, attempt: u32) {
-        let backoff_ms = self.cfg.retry.base_ms << attempt.min(6);
+        let backoff_ms = self.cfg.retry.backoff_ms(attempt);
         self.metrics.retries.inc();
         let clock = self.uc.clock();
         if clock.is_manual() {

@@ -5,11 +5,13 @@
 //! coalesce and who leads depends on OS scheduling, so two runs report
 //! different (equally correct) splits. CI byte-diff gates need the
 //! opposite — so this module replays a [`Schedule`] single-threaded on
-//! the injected manual clock, applying *the same policy code*
-//! (admission via [`crate::ServePlane::admit`], version-keyed coalescing
-//! groups, signature-compatible batch chunks, bounded shed-retry) in
-//! arrival order. Leader election is deterministic (first arrival in the
-//! group), so shed decisions, coalesce splits, batch sizes, telemetry,
+//! the injected manual clock, applying *the same policy code* in
+//! arrival order: admission via [`crate::ServePlane::admit`],
+//! version-keyed coalescing groups, signature-compatible batch chunks
+//! dispatched through the batcher's own [`crate::batch::dispatch`], and
+//! bounded shed-retry with [`crate::RetryPolicy::backoff_ms`]. Leader
+//! election is deterministic (first arrival in the group), so shed
+//! decisions, coalesce splits, batch sizes, telemetry,
 //! and the audit trail are pure functions of the schedule seed:
 //! `UC_SERVE_REPLAY=1` runs of the fig10b bench diff byte-identically.
 //!
@@ -17,7 +19,10 @@
 //! concurrent: they are all admitted (or shed) against the quantum's
 //! queue depth, `getTable`s for the same `(tenant, key)` coalesce into
 //! one flight, and `Resolve`s with the same tenant signature chunk into
-//! combined calls of at most `max_batch`. A hook runs between quanta so
+//! combined calls of at most `max_batch`. Errors count per request: a
+//! denied ref fails only its own request (the dispatch falls back to one
+//! call per request), every failed uncoalesced call counts, and a request
+//! naming a malformed table fails alone. A hook runs between quanta so
 //! tests can inject invalidations and prove flights never span a cache
 //! version change.
 
@@ -25,10 +30,10 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use uc_catalog::service::Context;
-use uc_catalog::{FullName, Uid};
+use uc_catalog::{FullName, UcResult, Uid};
 use uc_workload::openloop::{Arrival, RequestKind, Schedule};
 
-use crate::ServePlane;
+use crate::{batch, ServePlane};
 
 /// Binds a schedule's abstract tenant/key indices to a concrete world.
 pub struct ReplayBinding {
@@ -48,11 +53,12 @@ impl ReplayBinding {
     fn context(&self, tenant: usize) -> &Context {
         &self.contexts[tenant % self.contexts.len()]
     }
+}
 
-    fn table(&self, tenant: usize, key: usize) -> &str {
-        let tables = &self.tables[tenant % self.tables.len()];
-        &tables[key % tables.len()]
-    }
+/// Entry `key` of tenant `tenant` in per-tenant lists; both indices wrap.
+fn pick<T>(lists: &[Vec<T>], tenant: usize, key: usize) -> &T {
+    let list = &lists[tenant % lists.len()];
+    &list[key % list.len()]
 }
 
 /// Counters accumulated by one replay; [`ReplayReport::canonical_text`]
@@ -77,7 +83,8 @@ pub struct ReplayReport {
     pub batches: u64,
     /// Resolve requests carried by those dispatches.
     pub batch_items: u64,
-    /// Catalog-level errors surfaced to requests (denies etc.).
+    /// Admitted requests that got an error (denies, malformed names etc.);
+    /// each request counts at most once.
     pub errors: u64,
     /// Last virtual timestamp processed.
     pub end_ms: u64,
@@ -140,6 +147,12 @@ pub fn run_with(
             .push(Pending { arrival: arrival.clone(), attempt: 0 });
     }
     let retry = plane.config().retry.clone();
+    // Every bound table name, parsed once for the whole run.
+    let names: Vec<Vec<UcResult<FullName>>> = binding
+        .tables
+        .iter()
+        .map(|tables| tables.iter().map(|t| FullName::parse(t)).collect())
+        .collect();
     while let Some((&t, _)) = queue.iter().next() {
         let quantum = match queue.remove(&t) {
             Some(q) => q,
@@ -177,10 +190,9 @@ pub fn run_with(
                 Err(_) => {
                     report.shed += 1;
                     if pending.attempt < retry.max_retries {
-                        let backoff_ms = retry.base_ms.max(1) << pending.attempt.min(6);
                         plane.metrics.retries.inc();
                         report.retried += 1;
-                        queue.entry(t + backoff_ms).or_default().push(Pending {
+                        queue.entry(t + retry.backoff_ms(pending.attempt)).or_default().push(Pending {
                             arrival: pending.arrival,
                             attempt: pending.attempt + 1,
                         });
@@ -207,67 +219,59 @@ pub fn run_with(
         for ((tenant, key), n) in get_groups {
             let ctx = binding.context(tenant);
             let label = plane.tenant_label(&binding.ms, &ctx.principal);
-            let name = binding.table(tenant, key);
-            let outcome = if plane.config().coalesce {
+            let name = pick(&binding.tables, tenant, key);
+            let get = || plane.catalog().get_table(ctx, &binding.ms, name).is_err();
+            report.errors += if plane.config().coalesce {
                 report.leaders += 1;
                 report.followers += n - 1;
                 plane.metrics.leaders.inc();
                 plane.metrics.leaders_by.inc(&label);
                 plane.metrics.followers.add(n - 1);
                 plane.metrics.followers_by.add(&label, n - 1);
-                plane.catalog().get_table(ctx, &binding.ms, name).map(|_| ())
+                // Followers share the leader's outcome, error included.
+                if get() { n } else { 0 }
             } else {
                 // Uncoalesced arm: every request is its own catalog call.
                 report.leaders += n;
                 plane.metrics.leaders.add(n);
                 plane.metrics.leaders_by.add(&label, n);
-                let mut last = Ok(());
-                for _ in 0..n {
-                    last = plane.catalog().get_table(ctx, &binding.ms, name).map(|_| ());
-                }
-                last
+                (0..n).filter(|_| get()).count() as u64
             };
-            if outcome.is_err() {
-                report.errors += if plane.config().coalesce { n } else { 1 };
-            }
         }
 
         // Phase 3 — combined resolution. Same-tenant resolves chunk into
-        // batches of at most max_batch (one audited catalog call each).
-        let mut resolve_groups: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
+        // dispatches of at most max_batch through the batcher's own
+        // `dispatch`; a request naming a malformed table fails alone.
+        let mut resolve_groups: Vec<(usize, Vec<Vec<FullName>>)> = Vec::new();
         for arrival in &admitted {
-            if let RequestKind::Resolve { keys } = &arrival.kind {
-                match resolve_groups.iter_mut().find(|(t, _)| *t == arrival.tenant) {
-                    Some((_, items)) => items.push(keys.clone()),
-                    None => resolve_groups.push((arrival.tenant, vec![keys.clone()])),
-                }
+            let RequestKind::Resolve { keys } = &arrival.kind else { continue };
+            let refs: UcResult<Vec<FullName>> =
+                keys.iter().map(|key| pick(&names, arrival.tenant, *key).clone()).collect();
+            let Ok(refs) = refs else {
+                report.errors += 1;
+                continue;
+            };
+            match resolve_groups.iter_mut().find(|(t, _)| *t == arrival.tenant) {
+                Some((_, items)) => items.push(refs),
+                None => resolve_groups.push((arrival.tenant, vec![refs])),
             }
         }
-        let max_batch = plane.config().max_batch.max(1);
+        let chunk_len = if plane.config().batch { plane.config().max_batch.max(1) } else { 1 };
         for (tenant, items) in resolve_groups {
             let ctx = binding.context(tenant);
-            for chunk in items.chunks(if plane.config().batch { max_batch } else { 1 }) {
-                let mut combined = Vec::new();
-                for keys in chunk {
-                    for key in keys {
-                        if let Ok(full) = FullName::parse(binding.table(tenant, *key)) {
-                            combined.push(full);
-                        }
-                    }
-                }
-                plane.metrics.batches.inc();
-                plane.metrics.batch_size.record(chunk.len() as u64);
+            for chunk in items.chunks(chunk_len) {
+                let chunk: Vec<&[FullName]> = chunk.iter().map(Vec::as_slice).collect();
                 report.batches += 1;
                 report.batch_items += chunk.len() as u64;
-                let outcome = plane.catalog().resolve_batch(
+                let results = batch::dispatch(
+                    plane.catalog(),
+                    &plane.metrics,
                     ctx,
                     &binding.ms,
-                    &combined,
                     binding.want_credentials,
+                    &chunk,
                 );
-                if outcome.is_err() {
-                    report.errors += chunk.len() as u64;
-                }
+                report.errors += results.iter().filter(|r| r.is_err()).count() as u64;
             }
         }
         // Quantum fully served: admission slots release here.

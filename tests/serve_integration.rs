@@ -18,23 +18,26 @@
 //!   invalidation can never serve a stale leader result to a
 //!   post-invalidation arrival.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use uc_bench::{labeled_counter_sum, parse_snapshot, SnapshotValue, World, WorldConfig};
 use uc_catalog::audit::AuditDecision;
+use uc_catalog::authz::Privilege;
 use uc_catalog::service::crud::TableSpec;
 use uc_catalog::service::rest::ApiError;
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::{FullName, UcError};
+use uc_cloudstore::sched::{finish_current, SchedMode, Scheduler};
 use uc_cloudstore::{Clock, LatencyModel, ObjectStore, StsService};
 use uc_delta::value::{DataType, Field, Schema};
 use uc_obs::Obs;
 use uc_serve::replay::{run_with, ReplayBinding};
 use uc_serve::{replay, RetryPolicy, Role, ServeConfig, ServePlane};
 use uc_txdb::{Db, DbConfig};
-use uc_workload::openloop::{OpenLoopParams, Schedule};
+use uc_workload::openloop::{Arrival, OpenLoopParams, RequestKind, Schedule};
 
 const ADMIN: &str = "admin";
 const TABLES: usize = 8;
@@ -233,12 +236,14 @@ fn retry_backoff_is_bounded_and_virtual() {
     );
 }
 
-fn replay_fixture() -> (Arc<UnityCatalog>, ServePlane, Schedule, ReplayBinding) {
+/// A fig-5 storm over two tenants. `grant` gives both tenants read
+/// access to every table; without it every request is denied.
+fn replay_fixture(
+    cfg: ServeConfig,
+    grant: bool,
+) -> (Arc<UnityCatalog>, ServePlane, Schedule, ReplayBinding) {
     let (uc, ms) = manual_world(false);
-    let plane = ServePlane::new(
-        uc.clone(),
-        ServeConfig { queue_capacity: 8, ..ServeConfig::default() },
-    );
+    let plane = ServePlane::new(uc.clone(), ServeConfig { queue_capacity: 8, ..cfg });
     plane.register_tenant(&ms, "serve");
     let mut params = OpenLoopParams::fig5(42, 60_000.0);
     params.horizon_ms = 50;
@@ -252,7 +257,7 @@ fn replay_fixture() -> (Arc<UnityCatalog>, ServePlane, Schedule, ReplayBinding) 
         want_credentials: false,
     };
     let admin = Context::user(ADMIN);
-    for t in 0..params.tenants {
+    for t in (0..params.tenants).filter(|_| grant) {
         for name in &names {
             uc.grant_read_path(&admin, &ms, name, &format!("tenant{t}")).unwrap();
         }
@@ -274,9 +279,9 @@ fn replay_is_deterministic_and_conserves_telemetry() {
         lines.join("\n")
     };
 
-    let (uc_a, plane_a, schedule, binding_a) = replay_fixture();
+    let (uc_a, plane_a, schedule, binding_a) = replay_fixture(ServeConfig::default(), true);
     let report_a = replay::run(&plane_a, &schedule, &binding_a);
-    let (uc_b, plane_b, _, binding_b) = replay_fixture();
+    let (uc_b, plane_b, _, binding_b) = replay_fixture(ServeConfig::default(), true);
     let report_b = replay::run(&plane_b, &schedule, &binding_b);
 
     assert_eq!(report_a, report_b, "replay report must be seed-pure");
@@ -321,6 +326,71 @@ fn replay_is_deterministic_and_conserves_telemetry() {
             "{base}.by_tenant must sum to the global counter"
         );
     }
+}
+
+/// Two `Resolve`s from one tenant in the same virtual millisecond, the
+/// first naming table key `first`, the second `second`.
+fn two_resolves(first: usize, second: usize) -> Schedule {
+    let arrival = |client: u64, key: usize| Arrival {
+        at_ms: 1,
+        tenant: 0,
+        client,
+        key,
+        kind: RequestKind::Resolve { keys: vec![key] },
+    };
+    Schedule {
+        params: OpenLoopParams::fig5(1, 1_000.0),
+        arrivals: vec![arrival(0, first), arrival(1, second)],
+    }
+}
+
+/// A denied request fails alone: the combined dispatch falls back to one
+/// call per request, so its batch-mate still succeeds.
+#[test]
+fn replay_denied_request_fails_alone() {
+    let (uc, ms) = manual_world(false);
+    let plane = ServePlane::new(uc.clone(), ServeConfig::default());
+    uc.grant_read_path(&Context::user(ADMIN), &ms, "main.s.t0", "tenant0").unwrap();
+    let binding = ReplayBinding {
+        ms: ms.clone(),
+        contexts: vec![Context::user("tenant0")],
+        tables: vec![(0..TABLES).map(|i| format!("main.s.t{i}")).collect()],
+        want_credentials: false,
+    };
+    // Key 1 names t1, on which tenant0 holds no SELECT.
+    let report = replay::run(&plane, &two_resolves(0, 1), &binding);
+    assert_eq!((report.batches, report.batch_items), (1, 2), "both share one dispatch");
+    assert_eq!(report.errors, 1, "only the request naming t1 fails");
+}
+
+/// A bound table name that does not parse fails its own request instead
+/// of being dropped from the combined call.
+#[test]
+fn replay_malformed_name_fails_its_request() {
+    let (uc, ms) = manual_world(false);
+    let plane = ServePlane::new(uc.clone(), ServeConfig::default());
+    uc.grant_read_path(&Context::user(ADMIN), &ms, "main.s.t0", "tenant0").unwrap();
+    let binding = ReplayBinding {
+        ms: ms.clone(),
+        contexts: vec![Context::user("tenant0")],
+        tables: vec![vec!["main.s.t0".to_string(), "main..t1".to_string()]],
+        want_credentials: false,
+    };
+    let report = replay::run(&plane, &two_resolves(0, 1), &binding);
+    assert_eq!(report.errors, 1, "the malformed request is an error");
+    assert_eq!((report.batches, report.batch_items), (1, 1), "the valid request still dispatches");
+}
+
+/// With coalescing off and no grants, every admitted request is its own
+/// failed catalog call, and each one counts.
+#[test]
+fn replay_uncoalesced_counts_every_failed_call() {
+    let cfg = ServeConfig { coalesce: false, ..ServeConfig::default() };
+    let (_uc, plane, schedule, binding) = replay_fixture(cfg, false);
+    let report = replay::run(&plane, &schedule, &binding);
+    assert!(report.admitted > report.leaders, "the storm must repeat keys within a quantum");
+    assert_eq!(report.followers, 0);
+    assert_eq!(report.errors, report.admitted);
 }
 
 /// The flight key embeds the metastore cache version: an invalidation
@@ -425,4 +495,95 @@ fn batched_resolves_split_correctly() {
         other => panic!("serve.batch.size missing: {other:?}"),
     };
     assert_eq!(sizes, (batches, N as u64), "batch sizes must sum to the request count");
+    // One resolver, audited once per requested ref: the 12 requests ask
+    // for 1, 2 or 3 refs each.
+    let requested: usize = (0..N).map(|i| i % 3 + 1).sum();
+    let audit = world.uc.audit_log();
+    let allows =
+        audit.query(|r| r.action == "resolveForQuery" && r.decision == AuditDecision::Allow);
+    assert_eq!(allows.len(), requested, "one resolveForQuery Allow per requested ref");
+    let others = audit.query(|r| r.action.starts_with("resolve") && r.action != "resolveForQuery");
+    assert!(others.is_empty(), "no other resolve action is audited: {others:?}");
+}
+
+/// One scheduled race on a cache-on world. Principal `p` holds USE
+/// CATALOG on `main`, USE SCHEMA on `main.s` and SELECT on `main.s.t0`.
+/// Client 0 resolves `[t0, t1]` through the plane while client 1 revokes
+/// USE SCHEMA and then grants SELECT on `t1`. Returns whether the
+/// resolve succeeded.
+fn revoke_grant_race(seed: u64, mode: SchedMode) -> bool {
+    let (uc, ms) = manual_world(true);
+    let admin = Context::user(ADMIN);
+    uc.grant_read_path(&admin, &ms, "main.s.t0", "p").unwrap();
+    let plane = ServePlane::new(uc.clone(), ServeConfig::default());
+    let p = Context::user("p");
+    // Warm the cache and the principal record outside the race.
+    plane.resolve(&p, &ms, vec![FullName::parse("main.s.t0").unwrap()], false).unwrap();
+
+    let sched = Scheduler::new(seed, 2, mode, 200);
+    let resolved = AtomicU64::new(0);
+    let resolver = || {
+        let refs = vec![
+            FullName::parse("main.s.t0").unwrap(),
+            FullName::parse("main.s.t1").unwrap(),
+        ];
+        if plane.resolve(&p, &ms, refs, false).is_ok() {
+            resolved.store(1, Ordering::Relaxed);
+        }
+    };
+    let writer = || {
+        let schema = FullName::parse("main.s").unwrap();
+        uc.revoke(&admin, &ms, &schema, "schema", "p", Privilege::UseSchema).unwrap();
+        let t1 = FullName::parse("main.s.t1").unwrap();
+        uc.grant(&admin, &ms, &t1, "relation", "p", Privilege::Select).unwrap();
+    };
+    let clients: [&(dyn Fn() + Sync); 2] = [&resolver, &writer];
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(i, client)| {
+                let sched = sched.clone();
+                scope.spawn(move || {
+                    sched.register_current(i);
+                    let result = catch_unwind(AssertUnwindSafe(client));
+                    // Hand the baton on even after a panic, or the run hangs.
+                    finish_current();
+                    if let Err(panic) = result {
+                        resume_unwind(panic);
+                    }
+                })
+            })
+            .collect();
+        sched.run_to_completion();
+        for handle in handles {
+            handle.join().unwrap();
+        }
+    });
+    resolved.load(Ordering::Relaxed) == 1
+}
+
+/// Schedules under which a resolver that memoised the container chain
+/// at one metastore version and read the leaf at a later one returned
+/// Ok: the revoke and the grant both land between the chain read and the
+/// `t1` leaf read.
+const RACE_SEEDS: &[(SchedMode, &[u64])] = &[
+    (SchedMode::Pct { depth: 2 }, &[45, 194]),
+    (SchedMode::RandomWalk, &[11, 18, 57, 195]),
+];
+
+/// No single metastore version lets `p` read both `t0` and `t1`: before
+/// the writes `p` lacks SELECT on `t1`, after the revoke `p` lacks USE
+/// SCHEMA. So a resolve of both, authorized at one snapshot, must never
+/// succeed, however the revoke and grant interleave with it.
+#[test]
+fn racing_revoke_and_grant_never_authorize_a_mixed_snapshot() {
+    for (mode, seeds) in RACE_SEEDS {
+        for &seed in *seeds {
+            assert!(
+                !revoke_grant_race(seed, *mode),
+                "{mode:?} seed {seed}: resolve of [t0, t1] succeeded across a revoke + grant"
+            );
+        }
+    }
 }
