@@ -23,26 +23,14 @@ use crate::authz::abac::AbacPolicy;
 use crate::authz::decision::AuthzContext;
 use crate::authz::fgac::FgacPolicies;
 use crate::authz::Privilege;
-use crate::cache::MsCache;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
 use crate::model::entity::Entity;
-use crate::model::keys;
 use crate::service::{Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
 
 /// Maximum view-nesting depth resolved in one call.
 const MAX_DEPTH: usize = 12;
-
-/// A `catalog.schema` memoised by one resolve call: its tree key and
-/// `[schema, catalog, metastore]`, read at cache `version`.
-struct Container<'a> {
-    catalog: &'a str,
-    schema: &'a str,
-    version: u64,
-    key: String,
-    chain: Vec<Arc<Entity>>,
-}
 
 /// One fully resolved securable.
 #[derive(Debug, Clone)]
@@ -61,14 +49,8 @@ pub struct ResolvedSecurable {
 
 impl UnityCatalog {
     /// Resolve all `refs` (tables/views) for a read query in one call.
-    /// The first ref in each `catalog.schema` resolves whole with
-    /// [`Self::lookup_chain`] and memoises the schema's container chain;
-    /// later refs there cost one leaf probe. A memoised chain is reused
-    /// only while the metastore cache version is unchanged: the version is
-    /// read before the chain is filled or reused and again after the leaf
-    /// lookup, and if it moved, that ref resolves whole again and refills
-    /// the memo. So every decision sees its chain and its leaf at one
-    /// version. With the cache off every ref takes `lookup_chain`.
+    /// Each ref resolves whole with [`Self::lookup_chain`], so its chain
+    /// and its leaf are read at one metastore version.
     pub fn resolve_for_query(
         &self,
         ctx: &Context,
@@ -78,15 +60,11 @@ impl UnityCatalog {
     ) -> UcResult<Vec<ResolvedSecurable>> {
         let _api = self.api_enter_t("resolve_for_query", ctx, ms);
         let who = self.authz_context(ms, &ctx.principal)?;
-        let cache = self.config.cache.enabled.then(|| self.cache.for_metastore(ms));
-        // One entry per distinct schema in `refs`.
-        let mut memo: Vec<Container> = Vec::new();
         let mut out = Vec::with_capacity(refs.len());
         for name in refs {
-            let full = match &cache {
-                Some(c) if name.len() == 3 => self.memo_chain(ms, c, &mut memo, name)?,
-                _ => self.extend_chain(ms, self.lookup_chain(ms, name, "relation")?)?,
-            };
+            // Reuse the resolved chain for the ancestor walk and evaluate
+            // access over the borrowed entities (no AuthzNode copies).
+            let full = self.extend_chain(ms, self.lookup_chain(ms, name, "relation")?)?;
             let entity = full[0].clone();
             self.enforce_workspace_binding(ctx, &full)?;
             if !crate::authz::decision::can_read_data(&full, &who, Privilege::Select) {
@@ -101,44 +79,6 @@ impl UnityCatalog {
             out.push(resolved);
         }
         Ok(out)
-    }
-
-    /// `[leaf, schema, catalog, metastore]` for the three-part `name`,
-    /// read at one cache version, the container part through `memo`.
-    fn memo_chain<'a>(
-        &self,
-        ms: &Uid,
-        cache: &MsCache,
-        memo: &mut Vec<Container<'a>>,
-        name: &'a FullName,
-    ) -> UcResult<Vec<Arc<Entity>>> {
-        let (catalog, schema) = (name.catalog(), name.parts[1].as_str());
-        let version = cache.version();
-        let at = memo.iter().position(|c| c.catalog == catalog && c.schema == schema);
-        if let Some(c) = at.map(|i| &memo[i]).filter(|c| c.version == version) {
-            let mut leaf_key = c.key.clone();
-            keys::tree_push_child(&mut leaf_key, "relation", &name.parts[2]);
-            let leaf = self.entity_by_tree_key_in(ms, cache, &leaf_key)?;
-            if cache.version() == version {
-                let leaf = leaf.ok_or_else(|| UcError::NotFound(name.to_string()))?;
-                let mut full = Vec::with_capacity(c.chain.len() + 1);
-                full.push(leaf);
-                full.extend(c.chain.iter().cloned());
-                return Ok(full);
-            }
-        }
-        // No chain memoised at this version, or a write landed between
-        // the chain and the leaf reads: resolve the whole name and refill
-        // the memo, tagged with a version read before the lookup.
-        let version = cache.version();
-        let full = self.extend_chain(ms, self.lookup_chain(ms, name, "relation")?)?;
-        let key = keys::tree_key(ms, &[("catalog", catalog), ("schema", schema)]);
-        let filled = Container { catalog, schema, version, key, chain: full[1..].to_vec() };
-        match at {
-            Some(i) => memo[i] = filled,
-            None => memo.push(filled),
-        }
-        Ok(full)
     }
 
     /// Resolve one entity plus its dependency closure. Dependencies of a
