@@ -111,19 +111,16 @@ fn table_names() -> Vec<String> {
 }
 
 fn build_plane(world: &World, coalesce: bool) -> ServePlane {
-    let plane = ServePlane::new(
+    ServePlane::new(
         world.uc.clone(),
         ServeConfig {
             // The sweep measures coalescing, not shedding: budget above
             // the largest client count so admission never rejects.
             queue_capacity: 8192,
             coalesce,
-            batch: coalesce,
             ..Default::default()
         },
-    );
-    plane.register_tenant(&world.ms, "bench");
-    plane
+    )
 }
 
 fn sweep(plane: &ServePlane, world: &World, names: &[String], threads: usize, duration: Duration) -> uc_bench::LoadSummary {
@@ -176,7 +173,6 @@ fn replay_100x(quick: bool) -> (ReplayReport, String) {
             ..Default::default()
         },
     );
-    plane.register_tenant(&ms, "bench");
     let mut params = OpenLoopParams::fig5(0xF16B, 1_000_000.0);
     params.horizon_ms = if quick { 20 } else { 100 };
     let schedule = Schedule::generate(&params);

@@ -114,11 +114,11 @@ impl CacheConfig {
 #[derive(Debug, Default, Clone)]
 pub struct CacheStats {
     pub hits: Counter,
-    /// Logical lookups that had to read the database (counted once per
-    /// lookup, not per retry — see `stale_retries`).
+    /// Logical lookups that had to read the database.
     pub misses: Counter,
-    /// Miss-path iterations retried because the database snapshot was
-    /// older than the cache's pinned version.
+    /// Misses served from a database snapshot older than the cache's
+    /// pinned version: the read is served as read and installs nothing
+    /// (the name stays for the metric consumers that read it).
     pub stale_retries: Counter,
     pub full_reconciles: Counter,
     pub selective_reconciles: Counter,
@@ -346,7 +346,6 @@ impl MsCache {
     /// Look up by name (the entity's tree key), valid at the cache's
     /// current version.
     pub fn id_by_name(&self, tree_key: &str) -> Option<Uid> {
-        // uc-lint: allow(hotpath) -- hot name-index probe: shard read lock, same discipline as get_at
         self.name_shard(tree_key).read().get(tree_key).cloned()
     }
 

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use uc_cloudstore::{RootCredential, StoragePath};
 use uc_delta::value::Schema;
+use uc_txdb::WriteTxn;
 
 use crate::audit::AuditDecision;
 use crate::error::{UcError, UcResult};
@@ -65,6 +66,34 @@ pub struct BulkSchemaSpec {
     pub tables: Vec<String>,
 }
 
+/// Rewrite an entity by id inside a write transaction, recording its
+/// `Update` effect.
+pub(crate) fn rewrite_entity(
+    tx: &mut WriteTxn,
+    fx: &mut WriteEffects,
+    ms: &Uid,
+    id: &Uid,
+    now: u64,
+    f: impl Fn(&mut Entity) -> UcResult<()>,
+) -> UcResult<Arc<Entity>> {
+    let raw = tx
+        .get(T_ENTITY, &keys::ent_key(ms, id))
+        .ok_or_else(|| UcError::NotFound(id.to_string()))?;
+    let mut ent = Entity::decode(&raw)?;
+    // A soft-deleted row must never be updated: its name may have been
+    // re-assigned to a successor entity, and re-upserting would resurrect
+    // the deleted tree row (a caller can reach this via a stale cached
+    // name mapping; the serializable write is where staleness gets
+    // caught).
+    if !ent.is_active() {
+        return Err(UcError::NotFound(id.to_string()));
+    }
+    f(&mut ent)?;
+    ent.updated_at_ms = now;
+    (manifest(ent.kind).validate)(&ent)?;
+    fx.upsert(tx, ent, ChangeOp::Update)
+}
+
 impl UnityCatalog {
     // ------------------------------------------------------------------
     // Metastore lifecycle
@@ -83,7 +112,7 @@ impl UnityCatalog {
         // Register the human-readable label alias before the first write:
         // any telemetry emitted for this metastore from here on renders
         // the name, never the random uid.
-        self.register_tenant_alias(&ms, name);
+        self.set_tenant_alias(&ms, name);
         self.write_ms(&ms, |tx, _ver, fx| {
             fx.upsert(tx, ent.clone(), ChangeOp::Create)?;
             Ok(())
@@ -211,11 +240,12 @@ impl UnityCatalog {
         }
         // The credential must exist and cover the bucket.
         let cred = self
-            .entity_by_tree_key(
-                ms,
-                &keys::tree_key(ms, &[(SecurableKind::StorageCredential.name_group(), credential_name)]),
-            )?
-            .ok_or_else(|| UcError::NotFound(format!("storage credential {credential_name}")))?;
+            .lookup_chain(ms, &FullName::of(&[credential_name]), SecurableKind::StorageCredential.name_group())
+            .map_err(|e| match e {
+                UcError::NotFound(_) => UcError::NotFound(format!("storage credential {credential_name}")),
+                e => e,
+            })?[0]
+            .clone();
         if cred.properties.get(props::BUCKET).map(|b| b.as_str()) != Some(parsed.bucket()) {
             return Err(UcError::InvalidArgument(format!(
                 "credential {credential_name} does not cover bucket {}",
@@ -1021,24 +1051,7 @@ impl UnityCatalog {
         f: impl Fn(&mut Entity) -> UcResult<()>,
     ) -> UcResult<Arc<Entity>> {
         let now = self.now_ms();
-        self.write_ms(ms, |tx, _ver, fx| {
-            let raw = tx
-                .get(T_ENTITY, &keys::ent_key(ms, id))
-                .ok_or_else(|| UcError::NotFound(id.to_string()))?;
-            let mut ent = Entity::decode(&raw)?;
-            // A soft-deleted row must never be updated: its name may have
-            // been re-assigned to a successor entity, and re-upserting
-            // would resurrect the deleted tree row (a caller
-            // can reach this via a stale cached name mapping; the
-            // serializable write is where staleness gets caught).
-            if !ent.is_active() {
-                return Err(UcError::NotFound(id.to_string()));
-            }
-            f(&mut ent)?;
-            ent.updated_at_ms = now;
-            (manifest(ent.kind).validate)(&ent)?;
-            fx.upsert(tx, ent, ChangeOp::Update)
-        })
+        self.write_ms(ms, |tx, _ver, fx| rewrite_entity(tx, fx, ms, id, now, &f))
     }
 
     /// Update a securable's comment (MODIFY or admin authority).
@@ -1230,7 +1243,7 @@ impl UnityCatalog {
     /// the name and hides the subtree from listings and resolution),
     /// unregister the storage path, and tombstone the entity row for GC.
     fn soft_delete_subtree(
-        tx: &mut uc_txdb::WriteTxn,
+        tx: &mut WriteTxn,
         ms: &Uid,
         target: &Entity,
         now: u64,

@@ -88,11 +88,12 @@ impl UnityCatalog {
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter_t("create_federated_catalog", ctx, ms);
         let connection = self
-            .entity_by_tree_key(
-                ms,
-                &keys::tree_key(ms, &[(SecurableKind::Connection.name_group(), connection_name)]),
-            )?
-            .ok_or_else(|| UcError::NotFound(format!("connection {connection_name}")))?;
+            .lookup_chain(ms, &FullName::of(&[connection_name]), SecurableKind::Connection.name_group())
+            .map_err(|e| match e {
+                UcError::NotFound(_) => UcError::NotFound(format!("connection {connection_name}")),
+                e => e,
+            })?[0]
+            .clone();
         let catalog = self.create_catalog(ctx, ms, name)?;
         let updated = self.update_entity_by_id(ms, &catalog.id, |e| {
             e.properties
@@ -115,10 +116,7 @@ impl UnityCatalog {
         meta: &ForeignTableMeta,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter_t("mirror_table", ctx, ms);
-        let cat_key = keys::tree_key(ms, &[("catalog", federated_catalog)]);
-        let cat = self
-            .entity_by_tree_key(ms, &cat_key)?
-            .ok_or_else(|| UcError::NotFound(federated_catalog.to_string()))?;
+        let cat = self.lookup_chain(ms, &FullName::of(&[federated_catalog]), "catalog")?[0].clone();
         if cat.properties.get("federated").map(|s| s.as_str()) != Some("true") {
             return Err(UcError::Federation(format!(
                 "{federated_catalog} is not a federated catalog"
@@ -137,11 +135,10 @@ impl UnityCatalog {
             ));
         }
         // Ensure the schema exists.
-        let mut schema_key = cat_key;
-        keys::tree_push_child(&mut schema_key, "schema", schema_name);
-        let schema_ent = match self.entity_by_tree_key(ms, &schema_key)? {
-            Some(s) => s,
-            None => {
+        let schema_key = keys::tree_key(ms, &[("catalog", federated_catalog), ("schema", schema_name)]);
+        let schema_ent = match self.lookup_chain(ms, &FullName::of(&[federated_catalog, schema_name]), "schema") {
+            Ok(chain) => chain[0].clone(),
+            Err(UcError::NotFound(_)) => {
                 let now = self.now_ms();
                 let cat_id = cat.id.clone();
                 self.write_ms(ms, |tx, _ver, fx| {
@@ -160,6 +157,7 @@ impl UnityCatalog {
                     fx.upsert(tx, ent, ChangeOp::Create)
                 })?
             }
+            Err(e) => return Err(e),
         };
         // Upsert the mirrored table.
         let now = self.now_ms();

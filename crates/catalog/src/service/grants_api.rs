@@ -7,7 +7,9 @@ use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
+use crate::model::entity::Entity;
 use crate::model::manifest::manifest;
+use crate::service::crud::rewrite_entity;
 use crate::service::{Context, UnityCatalog};
 use crate::types::FullName;
 
@@ -41,13 +43,9 @@ impl UnityCatalog {
                 "admin authority required to grant".into(),
             ));
         }
-        self.update_entity_by_id(ms, &target.id, |e| {
+        self.update_grants(ms, &target.id, |e| {
             e.add_grant(grantee, privilege);
-            Ok(())
         })?;
-        // Grant changes are metadata changes: surface them on the event
-        // stream for discovery consumers.
-        self.publish_grant_event(ms, &target.id, target.kind, &target.name);
         self.record_audit(&ctx.principal, "grant", Some(&target.id), AuditDecision::Allow, format!("{privilege} to {grantee}"));
         Ok(())
     }
@@ -73,11 +71,9 @@ impl UnityCatalog {
                 "admin authority required to revoke".into(),
             ));
         }
-        self.update_entity_by_id(ms, &target.id, |e| {
+        self.update_grants(ms, &target.id, |e| {
             e.remove_grant(grantee, privilege);
-            Ok(())
         })?;
-        self.publish_grant_event(ms, &target.id, target.kind, &target.name);
         self.record_audit(&ctx.principal, "revoke", Some(&target.id), AuditDecision::Allow, format!("{privilege} from {grantee}"));
         Ok(())
     }
@@ -146,7 +142,7 @@ impl UnityCatalog {
     }
 
     /// Fetch an entity by id, subject to visibility.
-    pub fn get_entity_by_id(&self, ctx: &Context, ms: &Uid, id: &Uid) -> UcResult<Arc<crate::model::entity::Entity>> {
+    pub fn get_entity_by_id(&self, ctx: &Context, ms: &Uid, id: &Uid) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter_t("get_entity_by_id", ctx, ms);
         let ent = self
             .entity_by_id(ms, id)?
@@ -159,19 +155,20 @@ impl UnityCatalog {
         Ok(ent)
     }
 
-    fn publish_grant_event(&self, ms: &Uid, id: &Uid, kind: crate::types::SecurableKind, name: &str) {
-        // Event version: read the cache's current version best-effort.
-        let version = self.cache.for_metastore(ms).version();
-        self.events.publish(crate::events::MetadataChangeEvent {
-            seq: 0,
-            metastore: ms.clone(),
-            entity_id: id.clone(),
-            kind,
-            name: name.to_string(),
-            op: ChangeOp::GrantChange,
-            at_version: version,
-            timestamp_ms: self.now_ms(),
-        });
+    /// Rewrite a securable's grants through the write protocol. Grant
+    /// changes are metadata changes: besides the entity's `Update`, the
+    /// commit publishes a `GrantChange` for discovery consumers, both at
+    /// the committed version.
+    fn update_grants(&self, ms: &Uid, id: &Uid, f: impl Fn(&mut Entity)) -> UcResult<()> {
+        let now = self.now_ms();
+        self.write_ms(ms, |tx, _ver, fx| {
+            let ent = rewrite_entity(tx, fx, ms, id, now, |e| {
+                f(e);
+                Ok(())
+            })?;
+            fx.events.push((ent.id.clone(), ent.kind, ent.name.clone(), ChangeOp::GrantChange));
+            Ok(())
+        })
     }
 
     /// Convenience wrapper for tests and examples: grant on a table.

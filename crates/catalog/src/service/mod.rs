@@ -5,8 +5,9 @@
 //!
 //! * the **cached read protocol** — serve entity lookups from the
 //!   per-metastore write-through cache when the cached metastore version
-//!   is current; otherwise read the database at one snapshot, reconcile
-//!   the cache if the version moved, and install what was read;
+//!   is current; otherwise read the database at one snapshot and settle
+//!   it: reconcile the cache forward if the snapshot is newer than the
+//!   pin, and install what was read only if it was read at the pin;
 //! * the **write protocol** — a retry loop running each logical write as
 //!   a serializable database transaction that reads the metastore version
 //!   and commits `version + 1`, then write-through-updates the cache and
@@ -309,14 +310,6 @@ pub struct UnityCatalog {
     tenant_aliases: RwLock<std::collections::HashMap<Uid, Arc<str>>>,
 }
 
-/// Outcome of one cold (cache-miss) lookup round: the db snapshot was
-/// stale against the cache pin and the caller should retry, or the
-/// lookup completed with this result.
-enum MissLookup {
-    Stale,
-    Done(Option<Arc<Entity>>),
-}
-
 #[derive(Clone)]
 struct ApiInstruments {
     count: Counter,
@@ -557,14 +550,16 @@ impl UnityCatalog {
     /// Record the human-readable alias rendered into this metastore's
     /// metric labels. Called by `create_metastore` with the metastore
     /// name; idempotent.
-    pub(crate) fn register_tenant_alias(&self, ms: &Uid, name: &str) {
+    pub(crate) fn set_tenant_alias(&self, ms: &Uid, name: &str) {
         let alias: Arc<str> = Arc::from(uc_obs::sanitize_label_value(name));
         self.tenant_aliases.write().insert(ms.clone(), alias);
     }
 
     /// The `t=<alias>,p=<principal>` label for a request, memoized per
-    /// thread so the repeat path allocates nothing and takes no lock.
-    fn tenant_label(&self, ms: Option<&Uid>, principal: &str) -> Arc<str> {
+    /// thread so the repeat path allocates nothing and takes no lock. The
+    /// serving plane labels its own series with it too, so one tenant
+    /// reads the same in catalog and serve telemetry.
+    pub fn tenant_label(&self, ms: Option<&Uid>, principal: &str) -> Arc<str> {
         let Some(ms) = ms else {
             // No metastore (node-level ops): rare enough to build fresh.
             return Arc::from(format!("t={NO_TENANT},p={}", uc_obs::sanitize_label_value(principal)));
@@ -623,10 +618,7 @@ impl UnityCatalog {
     /// leader that started at v, so a leader's result is never served
     /// across an invalidation (read-your-snapshot for followers).
     pub fn metastore_cache_version(&self, ms: &Uid) -> u64 {
-        if !self.config.cache.enabled {
-            return 0;
-        }
-        self.cache.for_metastore(ms).version()
+        self.ms_cache(ms).map_or(0, |c| c.version())
     }
 
     /// Audit a request the serving plane shed under admission control.
@@ -671,24 +663,19 @@ impl UnityCatalog {
     // Cached read protocol
     // ------------------------------------------------------------------
 
+    /// This node's cache for a metastore, created on first touch; `None`
+    /// with the cache off, so a cache-off node never creates an
+    /// [`MsCache`].
+    pub(crate) fn ms_cache(&self, ms: &Uid) -> Option<Arc<MsCache>> {
+        self.config.cache.enabled.then(|| self.cache.for_metastore(ms))
+    }
+
     fn db_entity_by_id(&self, rt: &ReadTxn, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
         match rt.get(T_ENTITY, &keys::ent_key(ms, id)) {
             Some(raw) => {
                 let ent = Entity::decode(&raw)?;
                 // Soft-deleted rows are invisible to the namespace; only
                 // the garbage collector reads them (by direct scan).
-                Ok(ent.is_active().then(|| Arc::new(ent)))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// The active entity holding a tree key: one point get on the name
-    /// index, whose row *is* the entity (no name→id hop).
-    fn db_entity_by_tree_key(&self, rt: &ReadTxn, tree_key: &str) -> UcResult<Option<Arc<Entity>>> {
-        match rt.get(T_TREE, tree_key) {
-            Some(raw) => {
-                let ent = Entity::decode(&raw)?;
                 Ok(ent.is_active().then(|| Arc::new(ent)))
             }
             None => Ok(None),
@@ -710,178 +697,76 @@ impl UnityCatalog {
         c.insert(ent.clone(), at_version, pk, tree_key);
     }
 
-    /// Look up an entity by its tree key (see [`keys::tree_key`]).
-    pub(crate) fn entity_by_tree_key(
-        &self,
-        ms: &Uid,
-        tree_key: &str,
-    ) -> UcResult<Option<Arc<Entity>>> {
-        if !self.config.cache.enabled {
-            let rt = self.db.begin_read();
-            return self.db_entity_by_tree_key(&rt, tree_key);
-        }
-        let cache = self.cache.for_metastore(ms);
-        self.entity_by_tree_key_in(ms, &cache, tree_key)
-    }
-
-    /// [`UnityCatalog::entity_by_tree_key`] against an already-resolved
-    /// metastore cache (callers that loop hold the `Arc` once). Requires
-    /// the cache to be enabled.
+    /// The settle step every cache miss ends with, run under the
+    /// metastore's write gate once the database snapshot (at `db_ver`,
+    /// `db_csn`) has been read:
     ///
-    /// The hit path takes no exclusive lock: an index probe, a seqlock
-    /// read of the version pin, and a sharded snapshot read. Misses read
-    /// the database at one snapshot, then serialize on the metastore's
-    /// write gate to reconcile/install.
-    pub(crate) fn entity_by_tree_key_in(
-        &self,
-        ms: &Uid,
-        cache: &MsCache,
-        tree_key: &str,
-    ) -> UcResult<Option<Arc<Entity>>> {
-        let mut missed = false;
-        for _ in 0..8 {
-            // Yield outside the write gate: a parked client holds no lock.
-            sched::yield_point(sched::points::READ_LOOKUP);
-            if let Some(id) = cache.id_by_name(tree_key) {
-                let ver = cache.version();
-                if let Some(hit) = cache.get_at(&id, ver) {
-                    self.cache.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    history_read_event(ver);
-                    return Ok(hit);
-                }
-            }
-            // One logical lookup counts one miss, however many times a
-            // stale snapshot sends it around the loop (`stale_retries`
-            // counts those).
-            if !missed {
-                missed = true;
-                self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            // uc-lint: allow(hotpath) -- hot/cold boundary: the cached hit returned above; a miss round reads the db and takes the write gate
-            match self.entity_by_tree_key_miss_in(ms, cache, tree_key)? {
-                MissLookup::Stale => continue,
-                MissLookup::Done(found) => return Ok(found),
-            }
+    /// * a snapshot newer than the pin reconciles the cache forward to it;
+    /// * a snapshot at the pin (also after that reconcile) runs `install`,
+    ///   the only case where what was read may enter the cache;
+    /// * a snapshot older than the pin (a write's apply advanced the pin
+    ///   after the snapshot began) installs nothing and ticks
+    ///   `cache.stale_retries`. The caller still serves that snapshot: the
+    ///   pin only advances after a commit, so a snapshot begun inside the
+    ///   call is at least as new as anything the caller saw before it.
+    fn settle(&self, ms: &Uid, c: &MsCache, db_ver: u64, db_csn: u64, install: impl FnOnce()) {
+        let _gate = c.write_gate();
+        let pin = c.version();
+        if db_ver < pin {
+            self.cache.stats.stale_retries.fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        // uc-lint: allow(hotpath) -- stale-retry budget exhausted: serve this read straight from a db snapshot
-        self.db_entity_by_tree_key_uncached(ms, tree_key)
-    }
-
-    /// One cold lookup round for [`Self::entity_by_tree_key_in`]: read the
-    /// db at a snapshot, then reconcile/install under the write gate. The
-    /// cached-hit fast path returns before its call site, so nothing here
-    /// runs on the hot path (the linter prunes the closure at the
-    /// boundary pragma above).
-    fn entity_by_tree_key_miss_in(
-        &self,
-        ms: &Uid,
-        cache: &MsCache,
-        tree_key: &str,
-    ) -> UcResult<MissLookup> {
-        let rt = self.db.begin_read();
-        let db_ver = read_ms_version(&rt, ms);
-        let found = self.db_entity_by_tree_key(&rt, tree_key)?;
-        let _gate = cache.write_gate();
-        match db_ver.cmp(&cache.version()) {
-            std::cmp::Ordering::Less => {
-                // Stale snapshot (pin advanced past it); retry.
-                self.cache.stats.stale_retries.fetch_add(1, Ordering::Relaxed);
-                return Ok(MissLookup::Stale);
-            }
-            std::cmp::Ordering::Greater => {
-                self.cache.reconcile(ms, cache, &self.db, db_ver, rt.snapshot_csn())
-            }
-            std::cmp::Ordering::Equal => {}
+        if db_ver > pin {
+            self.cache.reconcile(ms, c, &self.db, db_ver, db_csn);
         }
-        if let Some(ent) = &found {
-            self.install_in_cache(cache, ms, ent, db_ver, Some(tree_key.to_string()));
-        }
-        history_read_event(db_ver);
-        Ok(MissLookup::Done(found))
-    }
-
-    /// Cache-bypassing by-name lookup at one db snapshot.
-    fn db_entity_by_tree_key_uncached(&self, ms: &Uid, tree_key: &str) -> UcResult<Option<Arc<Entity>>> {
-        let rt = self.db.begin_read();
-        history_read_event(read_ms_version(&rt, ms));
-        self.db_entity_by_tree_key(&rt, tree_key)
+        install();
     }
 
     /// Look up an entity by id.
     pub(crate) fn entity_by_id(&self, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
-        if !self.config.cache.enabled {
-            let rt = self.db.begin_read();
-            return self.db_entity_by_id(&rt, ms, id);
+        match self.ms_cache(ms) {
+            Some(c) => self.entity_by_id_in(ms, &c, id),
+            None => self.db_entity_by_id(&self.db.begin_read(), ms, id),
         }
-        let cache = self.cache.for_metastore(ms);
-        self.entity_by_id_in(ms, &cache, id)
     }
 
     /// [`UnityCatalog::entity_by_id`] against an already-resolved metastore
-    /// cache; same locking discipline as [`Self::entity_by_tree_key_in`].
+    /// cache (callers that loop hold the `Arc` once).
+    ///
+    /// The hit path takes no exclusive lock: a seqlock read of the version
+    /// pin and a sharded snapshot read. A miss reads the database at one
+    /// snapshot and [settles](Self::settle) it.
     pub(crate) fn entity_by_id_in(
         &self,
         ms: &Uid,
         cache: &MsCache,
         id: &Uid,
     ) -> UcResult<Option<Arc<Entity>>> {
-        let mut missed = false;
-        for _ in 0..8 {
-            sched::yield_point(sched::points::READ_LOOKUP);
-            let ver = cache.version();
-            if let Some(hit) = cache.get_at(id, ver) {
-                self.cache.stats.hits.fetch_add(1, Ordering::Relaxed);
-                history_read_event(ver);
-                return Ok(hit);
-            }
-            if !missed {
-                missed = true;
-                self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            // uc-lint: allow(hotpath) -- hot/cold boundary: the cached hit returned above; a miss round reads the db and takes the write gate
-            match self.entity_by_id_miss_in(ms, cache, id)? {
-                MissLookup::Stale => continue,
-                MissLookup::Done(found) => return Ok(found),
-            }
+        sched::yield_point(sched::points::READ_LOOKUP);
+        let ver = cache.version();
+        if let Some(hit) = cache.get_at(id, ver) {
+            self.cache.stats.hits.fetch_add(1, Ordering::Relaxed);
+            history_read_event(ver);
+            return Ok(hit);
         }
-        // uc-lint: allow(hotpath) -- stale-retry budget exhausted: serve this read straight from a db snapshot
-        self.db_entity_by_id_uncached(ms, id)
+        self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
+        // uc-lint: allow(hotpath) -- hot/cold boundary: the cached hit returned above; a miss reads the db and takes the write gate
+        self.entity_by_id_miss(ms, cache, id)
     }
 
-    /// One cold lookup round for [`Self::entity_by_id_in`]; see
-    /// [`Self::entity_by_tree_key_miss_in`].
-    fn entity_by_id_miss_in(
-        &self,
-        ms: &Uid,
-        cache: &MsCache,
-        id: &Uid,
-    ) -> UcResult<MissLookup> {
+    /// The miss half of [`Self::entity_by_id_in`]: one db snapshot, then
+    /// the settle step.
+    fn entity_by_id_miss(&self, ms: &Uid, cache: &MsCache, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
         let rt = self.db.begin_read();
         let db_ver = read_ms_version(&rt, ms);
         let found = self.db_entity_by_id(&rt, ms, id)?;
-        let _gate = cache.write_gate();
-        match db_ver.cmp(&cache.version()) {
-            std::cmp::Ordering::Less => {
-                self.cache.stats.stale_retries.fetch_add(1, Ordering::Relaxed);
-                return Ok(MissLookup::Stale);
+        self.settle(ms, cache, db_ver, rt.snapshot_csn(), || {
+            if let Some(ent) = &found {
+                self.install_in_cache(cache, ms, ent, db_ver, None);
             }
-            std::cmp::Ordering::Greater => {
-                self.cache.reconcile(ms, cache, &self.db, db_ver, rt.snapshot_csn())
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        if let Some(ent) = &found {
-            self.install_in_cache(cache, ms, ent, db_ver, None);
-        }
+        });
         history_read_event(db_ver);
-        Ok(MissLookup::Done(found))
-    }
-
-    /// Cache-bypassing id lookup at one db snapshot.
-    fn db_entity_by_id_uncached(&self, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
-        let rt = self.db.begin_read();
-        history_read_event(read_ms_version(&rt, ms));
-        self.db_entity_by_id(&rt, ms, id)
+        Ok(found)
     }
 
     /// Resolve a storage path to the asset covering it (§4.3.1 path-based
@@ -892,7 +777,7 @@ impl UnityCatalog {
         ms: &Uid,
         path: &StoragePath,
     ) -> UcResult<Option<(Arc<Entity>, StoragePath)>> {
-        let cache = self.config.cache.enabled.then(|| self.cache.for_metastore(ms));
+        let cache = self.ms_cache(ms);
         if let Some(c) = &cache {
             let ver = c.version();
             let mut candidate = Some(path.clone());
@@ -908,22 +793,19 @@ impl UnityCatalog {
         }
         // Database fallback at one snapshot.
         let rt = self.db.begin_read();
-        let Some((id, registered)) = crate::model::paths::resolve_path(&rt, ms, path) else {
-            return Ok(None);
+        let found = match crate::model::paths::resolve_path(&rt, ms, path) {
+            Some((id, registered)) => self.db_entity_by_id(&rt, ms, &id)?.map(|ent| (ent, registered)),
+            None => None,
         };
-        let found = self.db_entity_by_id(&rt, ms, &id)?;
-        if let Some(ent) = &found {
-            if let Some(c) = &cache {
-                let db_ver = read_ms_version(&rt, ms);
-                let _gate = c.write_gate();
-                if db_ver == c.version() {
+        if let Some(c) = &cache {
+            let db_ver = read_ms_version(&rt, ms);
+            self.settle(ms, c, db_ver, rt.snapshot_csn(), || {
+                if let Some((ent, _)) = &found {
                     self.install_in_cache(c, ms, ent, db_ver, None);
                 }
-            }
-            Ok(Some((ent.clone(), registered)))
-        } else {
-            Ok(None)
+            });
         }
+        Ok(found)
     }
 
     // ------------------------------------------------------------------
@@ -938,7 +820,7 @@ impl UnityCatalog {
         ms: &Uid,
         mut f: impl FnMut(&mut WriteTxn, u64, &mut WriteEffects) -> UcResult<T>,
     ) -> UcResult<T> {
-        let cache_arc = self.cache.for_metastore(ms);
+        let cache = self.ms_cache(ms);
         let mut attempts = 0;
         loop {
             // Interleaving-exploration yields bracket the attempt: before
@@ -978,7 +860,7 @@ impl UnityCatalog {
                     // the commit is durable but this node's cache lags until
                     // a later read or reconcile observes db_ver > version.
                     let skip_cache = self.config.faults.should_inject(points::CATALOG_CACHE_SKIP);
-                    if self.config.cache.enabled && !skip_cache {
+                    if let Some(cache_arc) = cache.as_ref().filter(|_| !skip_cache) {
                         let _gate = cache_arc.write_gate();
                         // A slow writer must never regress the shared pin:
                         // if a later commit's apply (or a reader's
@@ -990,7 +872,7 @@ impl UnityCatalog {
                         // read-your-writes for every client on this node.
                         if cache_arc.version() <= cur {
                             if cache_arc.version() != cur {
-                                self.cache.reconcile(ms, &cache_arc, &self.db, cur + 1, csn);
+                                self.cache.reconcile(ms, cache_arc, &self.db, cur + 1, csn);
                             }
                             for nk in &fx.dropped_names {
                                 cache_arc.remove_name_mapping(nk);
@@ -1000,7 +882,7 @@ impl UnityCatalog {
                             // the new versions, and readers after the
                             // advance see all of them.
                             for (ent, tk) in &fx.upserts {
-                                self.install_in_cache(&cache_arc, ms, ent, cur + 1, Some(tk.clone()));
+                                self.install_in_cache(cache_arc, ms, ent, cur + 1, Some(tk.clone()));
                             }
                             for id in &fx.tombstones {
                                 cache_arc.insert_tombstone(id, cur + 1);
@@ -1071,7 +953,8 @@ impl UnityCatalog {
     /// key is computable from the qualified name alone, and
     /// [`ReadTxn::scan_chain`] returns the row at every ancestor prefix in
     /// a single traversal. The cached fast path probes the same per-level
-    /// tree keys under one version pin.
+    /// tree keys under one version pin; a miss ends in the [settle
+    /// step](Self::settle), installing every level it read.
     pub(crate) fn lookup_chain(
         &self,
         ms: &Uid,
@@ -1114,7 +997,7 @@ impl UnityCatalog {
         }
         // Resolve the metastore cache once for the whole chain instead of
         // re-probing the node-level map per segment.
-        let cache = self.config.cache.enabled.then(|| self.cache.for_metastore(ms));
+        let cache = self.ms_cache(ms);
         if let Some(c) = &cache {
             // Cached fast path: every level present under one version pin.
             sched::yield_point(sched::points::READ_LOOKUP);
@@ -1167,28 +1050,22 @@ impl UnityCatalog {
             }
             ents.push(Arc::new(ent));
         }
-        if ents.len() != level_keys.len() {
-            // The op still observed a snapshot: record it so checkers can
-            // place the not-found against a version.
-            history_read_event(db_ver);
+        let resolved = ents.len() == level_keys.len();
+        if let Some(c) = &cache {
+            self.settle(ms, c, db_ver, rt.snapshot_csn(), || {
+                if resolved {
+                    for (ent, lk) in ents.iter().zip(&level_keys) {
+                        self.install_in_cache(c, ms, ent, db_ver, Some(lk.clone()));
+                    }
+                }
+            });
+        }
+        // A not-found also observed a snapshot: record it so checkers can
+        // place it against a version.
+        history_read_event(db_ver);
+        if !resolved {
             return Err(not_found());
         }
-        if let Some(c) = &cache {
-            // Miss path only: the cached chain hit returns above without
-            // reaching the gate. (Not a lint pragma — the chain lookup is
-            // reached from resolve, not a hotpath root, so no hotpath
-            // diagnostic fires here.)
-            let _gate = c.write_gate();
-            if db_ver > c.version() {
-                self.cache.reconcile(ms, c, &self.db, db_ver, rt.snapshot_csn());
-            }
-            if db_ver == c.version() {
-                for (ent, lk) in ents.iter().zip(&level_keys) {
-                    self.install_in_cache(c, ms, ent, db_ver, Some(lk.clone()));
-                }
-            }
-        }
-        history_read_event(db_ver);
         ents.reverse();
         Ok(ents)
     }
@@ -1200,9 +1077,9 @@ impl UnityCatalog {
     /// event-driven keeper — or a test — calls this to bound staleness
     /// explicitly.
     pub fn reconcile_metastore(&self, ms: &Uid) {
-        if !self.config.cache.enabled {
+        let Some(cache) = self.ms_cache(ms) else {
             return;
-        }
+        };
         let _span = self.config.obs.span("catalog", "reconcile_metastore");
         // A dropped reconciliation pass (keeper lagging, event lost). The
         // next pass — or any read that observes a newer db version — will
@@ -1211,12 +1088,7 @@ impl UnityCatalog {
             return;
         }
         let rt = self.db.begin_read();
-        let db_ver = crate::cache::read_ms_version(&rt, ms);
-        let cache = self.cache.for_metastore(ms);
-        let _gate = cache.write_gate();
-        if db_ver > cache.version() {
-            self.cache.reconcile(ms, &cache, &self.db, db_ver, rt.snapshot_csn());
-        }
+        self.settle(ms, &cache, read_ms_version(&rt, ms), rt.snapshot_csn(), || {});
     }
 
     /// Chain from an entity up to (and including) the metastore entity.
@@ -1238,13 +1110,10 @@ impl UnityCatalog {
         ms: &Uid,
         mut chain: Vec<Arc<Entity>>,
     ) -> UcResult<Vec<Arc<Entity>>> {
-        let cache = self.config.cache.enabled.then(|| self.cache.for_metastore(ms));
+        let cache = self.ms_cache(ms);
         let lookup = |id: &Uid| match &cache {
             Some(c) => self.entity_by_id_in(ms, c, id),
-            None => {
-                let rt = self.db.begin_read();
-                self.db_entity_by_id(&rt, ms, id)
-            }
+            None => self.entity_by_id(ms, id),
         };
         let mut guard = 0;
         while let Some(parent_id) = chain.last().and_then(|e| e.parent.clone()) {
@@ -1404,5 +1273,43 @@ impl UnityCatalog {
             .get(bucket)
             .cloned()
             .ok_or_else(|| UcError::Storage(format!("no storage credential for bucket {bucket}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn by_id_miss_older_than_the_pin_serves_its_snapshot_and_installs_nothing() {
+        let uc = UnityCatalog::in_memory();
+        let ms = uc.create_metastore("admin", "m", "r").unwrap();
+        let cat = uc.create_catalog(&Context::user("admin"), &ms, "main").unwrap();
+        // Cold cache: the catalog's by-id read misses.
+        uc.cache.clear();
+        let c = uc.ms_cache(&ms).unwrap();
+        let stale_before = uc.cache.stats.stale_retries.get();
+        let waits_before = uc.cache.stats.gate_waits.get();
+        let gate = c.write_gate();
+        let reader = {
+            let (uc, ms, id) = (uc.clone(), ms.clone(), cat.id.clone());
+            std::thread::spawn(move || uc.entity_by_id(&ms, &id))
+        };
+        // The reader has read its snapshot once it blocks on the gate.
+        while uc.cache.stats.gate_waits.get() == waits_before {
+            std::thread::yield_now();
+        }
+        // A write commits and its write-through advances the pin past the
+        // reader's snapshot (applied by hand: this thread holds the gate).
+        let db_ver = read_ms_version(&uc.db.begin_read(), &ms);
+        let mut tx = uc.db.begin_write();
+        tx.put(T_MSVER, ms.as_str(), Bytes::from((db_ver + 1).to_string()));
+        let csn = tx.commit().unwrap();
+        c.advance(db_ver + 1, csn);
+        drop(gate);
+        let served = reader.join().unwrap().unwrap().expect("the snapshot holds the catalog");
+        assert_eq!(served.id, cat.id);
+        assert!(c.get_at(&cat.id, db_ver + 1).is_none(), "an older snapshot installs nothing");
+        assert_eq!(uc.cache.stats.stale_retries.get() - stale_before, 1);
     }
 }

@@ -118,8 +118,13 @@ impl UnityCatalog {
     }
 
     fn share_by_name(&self, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
-        self.entity_by_tree_key(ms, &keys::tree_key(ms, &[(SecurableKind::Share.name_group(), name)]))?
-        .ok_or_else(|| UcError::NotFound(format!("share {name}")))
+        let chain = self
+            .lookup_chain(ms, &FullName::of(&[name]), SecurableKind::Share.name_group())
+            .map_err(|e| match e {
+                UcError::NotFound(_) => UcError::NotFound(format!("share {name}")),
+                e => e,
+            })?;
+        Ok(chain[0].clone())
     }
 
     /// Shares the caller can access (owner, admin, or SELECT grant).

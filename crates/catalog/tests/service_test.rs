@@ -14,7 +14,8 @@ use uc_catalog::service::crud::TableSpec;
 use uc_catalog::service::discovery_api::MetaFilter;
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::types::{FullName, SecurableKind, TableFormat};
-use uc_cloudstore::{AccessLevel, Credential, ObjectStore, StoragePath};
+use uc_cloudstore::faults::points;
+use uc_cloudstore::{AccessLevel, Credential, FaultMode, FaultPlan, ObjectStore, StoragePath};
 use uc_delta::expr::{CmpOp, Expr};
 use uc_delta::value::{DataType, Field, Schema, Value};
 use uc_txdb::Db;
@@ -38,9 +39,14 @@ fn table_schema() -> Schema {
 /// Bootstrap a metastore with storage root + credential and one
 /// catalog/schema, as `admin`.
 fn fixture() -> Fixture {
+    fixture_with(UcConfig::default())
+}
+
+/// [`fixture`] on a node built with `config`.
+fn fixture_with(config: UcConfig) -> Fixture {
     let db = Db::in_memory();
     let store = ObjectStore::in_memory();
-    let uc = UnityCatalog::new(db, store.clone(), UcConfig::default(), "node-0");
+    let uc = UnityCatalog::new(db, store.clone(), config, "node-0");
     let ms = uc.create_metastore(ADMIN, "prod", "us-west-2").unwrap();
     let ctx = Context::user(ADMIN);
     let root = store.create_bucket("lake");
@@ -962,4 +968,57 @@ fn principal_groups_refresh_within_ttl_window() {
     // upsert clears the local TTL cache)
     f.uc.upsert_principal("bob", &["team"]).unwrap();
     assert!(f.uc.resolve_for_query(&bob, &f.ms, &[FullName::parse("main.sales.t").unwrap()], false).is_ok());
+}
+
+#[test]
+fn grant_change_events_carry_the_commit_version() {
+    // Cache off: the metastore's cache pin never moves, so an event
+    // version taken from it would read 0.
+    let f = fixture_with(UcConfig { cache: uc_catalog::cache::CacheConfig::disabled(), ..Default::default() });
+    let ctx = admin();
+    let main = FullName::parse("main").unwrap();
+    use uc_catalog::events::ChangeOp;
+    for grant in [true, false] {
+        let (_, offset) = f.uc.events_since(0);
+        if grant {
+            f.uc.grant(&ctx, &f.ms, &main, "catalog", "alice", Privilege::UseCatalog).unwrap();
+        } else {
+            f.uc.revoke(&ctx, &f.ms, &main, "catalog", "alice", Privilege::UseCatalog).unwrap();
+        }
+        let (events, _) = f.uc.events_since(offset);
+        let ops: Vec<ChangeOp> = events.iter().map(|e| e.op).collect();
+        assert_eq!(ops, [ChangeOp::Update, ChangeOp::GrantChange], "grant={grant}");
+        assert!(events[0].at_version > 0);
+        assert_eq!(events[1].at_version, events[0].at_version, "grant={grant}");
+    }
+}
+
+#[test]
+fn path_lookup_miss_settles_a_lagging_cache_forward() {
+    let plan = FaultPlan::seeded(7);
+    let f = fixture_with(UcConfig { faults: plan.clone(), ..Default::default() });
+    let ctx = admin();
+    let root = f.store.create_bucket("ext");
+    f.uc.create_storage_credential(&ctx, &f.ms, "ext_cred", &root).unwrap();
+    // Both creates commit but this node skips their write-through, so the
+    // pin lags the database and neither path is cached (a cached
+    // location would answer the path lookup at the old pin).
+    plan.arm(points::CATALOG_CACHE_SKIP, FaultMode::FirstN(2));
+    f.uc.create_external_location(&ctx, &f.ms, "ext_loc", "s3://ext/data", "ext_cred").unwrap();
+    f.uc
+        .create_table(
+            &ctx,
+            &f.ms,
+            TableSpec::external("main.sales.t1", table_schema(), "s3://ext/data/t1", TableFormat::Parquet).unwrap(),
+        )
+        .unwrap();
+    assert_eq!(plan.injected(points::CATALOG_CACHE_SKIP), 2);
+    let db_version = || uc_catalog::cache::read_ms_version(&f.uc.db().begin_read(), &f.ms);
+    assert!(f.uc.metastore_cache_version(&f.ms) < db_version());
+    // The path lookup misses, reads the newer snapshot and settles it:
+    // the cache reconciles forward instead of staying behind.
+    f.uc
+        .temp_credentials_for_path(&ctx, &f.ms, "s3://ext/data/t1/part-0", AccessLevel::Read)
+        .unwrap();
+    assert_eq!(f.uc.metastore_cache_version(&f.ms), db_version());
 }

@@ -269,7 +269,6 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
             uc.clone(),
             uc_serve::ServeConfig::default(),
         ));
-        plane.register_tenant(&ms, "check");
         for j in 0..cfg.coalesce_clients {
             let sched = sched.clone();
             let uc = uc.clone();

@@ -27,13 +27,13 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use uc_catalog::service::resolve::ResolvedSecurable;
 use uc_catalog::service::{Context, EngineIdentity, UnityCatalog};
 use uc_catalog::{FullName, UcError, UcResult, Uid};
-use uc_cloudstore::sched::{is_scheduled, yield_point};
+use uc_cloudstore::sched::yield_point;
 
-use crate::{points, Role, Served, ServeConfig, ServeMetrics};
+use crate::{points, Role, Served, ServeConfig, ServeMetrics, Slot};
 
 /// Authorization-relevant identity of a resolve request. Only requests
 /// with identical signatures may share a combined catalog call.
@@ -56,52 +56,10 @@ impl Signature {
     }
 }
 
-/// Shared slot one request waits on for its split of a combined result.
-struct BatchSlot {
-    state: Mutex<Option<UcResult<Vec<ResolvedSecurable>>>>,
-    done: Condvar,
-}
-
-impl BatchSlot {
-    fn new() -> BatchSlot {
-        BatchSlot { state: Mutex::new(None), done: Condvar::new() }
-    }
-
-    fn poll(&self) -> Option<UcResult<Vec<ResolvedSecurable>>> {
-        let state = self.state.lock();
-        state.clone()
-    }
-
-    fn publish(&self, result: UcResult<Vec<ResolvedSecurable>>) {
-        let mut state = self.state.lock();
-        *state = Some(result);
-        self.done.notify_all();
-    }
-
-    fn wait_scheduled(&self) -> UcResult<Vec<ResolvedSecurable>> {
-        loop {
-            if let Some(result) = self.poll() {
-                return result;
-            }
-            yield_point(points::SERVE_DISPATCH);
-        }
-    }
-
-    fn wait_blocking(&self) -> UcResult<Vec<ResolvedSecurable>> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(result) = &*state {
-                return result.clone();
-            }
-            self.done.wait(&mut state);
-        }
-    }
-}
-
 struct PendingItem {
     sig: Signature,
     refs: Vec<FullName>,
-    slot: Arc<BatchSlot>,
+    slot: Arc<Slot<Vec<ResolvedSecurable>>>,
 }
 
 struct BatchState {
@@ -143,7 +101,7 @@ impl Batcher {
             workspace: ctx.workspace.clone(),
             want_credentials,
         };
-        let slot = Arc::new(BatchSlot::new());
+        let slot = Arc::new(Slot::new());
         let is_leader = {
             let mut pending = self.pending.lock();
             if pending.items.len() >= cfg.batch_queue_capacity {
@@ -177,11 +135,7 @@ impl Batcher {
         // loop (the loop only exits once the queue is empty), so its wait
         // returns immediately; followers wait for whichever leader owns
         // the queue.
-        let result = if is_scheduled() {
-            slot.wait_scheduled()
-        } else {
-            slot.wait_blocking()
-        };
+        let result = slot.wait();
         let role = if is_leader { Role::Leader } else { Role::Follower };
         result.map(|value| Served { value, role, key_version: 0 })
     }

@@ -25,68 +25,21 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use uc_catalog::service::{Context, UnityCatalog};
 use uc_catalog::{Entity, UcResult, Uid};
-use uc_cloudstore::sched::{is_scheduled, yield_point};
+use uc_cloudstore::sched::yield_point;
 
-use crate::{points, Role, Served, ServeMetrics};
+use crate::{points, Role, Served, ServeMetrics, Slot};
 
 /// Flight identity: metastore, principal, table name, cache version.
 type FlightKey = (Uid, String, String, u64);
-
-/// Shared slot the leader publishes into and followers wait on.
-struct FlightSlot {
-    state: Mutex<Option<UcResult<Arc<Entity>>>>,
-    done: Condvar,
-}
-
-impl FlightSlot {
-    fn new() -> FlightSlot {
-        FlightSlot { state: Mutex::new(None), done: Condvar::new() }
-    }
-
-    /// Non-blocking probe of the published result.
-    fn poll(&self) -> Option<UcResult<Arc<Entity>>> {
-        let state = self.state.lock();
-        state.clone()
-    }
-
-    /// Publish the leader's result and wake all followers.
-    fn publish(&self, result: UcResult<Arc<Entity>>) {
-        let mut state = self.state.lock();
-        *state = Some(result);
-        self.done.notify_all();
-    }
-
-    /// Follower wait under the deterministic scheduler: yield between
-    /// probes so the explorer controls exactly when the leader runs.
-    fn wait_scheduled(&self) -> UcResult<Arc<Entity>> {
-        loop {
-            if let Some(result) = self.poll() {
-                return result;
-            }
-            yield_point(points::SERVE_DISPATCH);
-        }
-    }
-
-    /// Follower wait under real threading: block on the condvar.
-    fn wait_blocking(&self) -> UcResult<Arc<Entity>> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(result) = &*state {
-                return result.clone();
-            }
-            self.done.wait(&mut state);
-        }
-    }
-}
 
 /// The in-flight table of active flights. Entries exist only between a
 /// leader's arrival and its publication, so the map is bounded by live
 /// concurrency.
 pub(crate) struct FlightMap {
-    flights: Mutex<HashMap<FlightKey, Arc<FlightSlot>>>,
+    flights: Mutex<HashMap<FlightKey, Arc<Slot<Arc<Entity>>>>>,
 }
 
 impl FlightMap {
@@ -114,7 +67,7 @@ impl FlightMap {
             match flights.get(&key) {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
-                    let slot = Arc::new(FlightSlot::new());
+                    let slot = Arc::new(Slot::new());
                     flights.insert(key.clone(), Arc::clone(&slot));
                     (slot, true)
                 }
@@ -134,11 +87,7 @@ impl FlightMap {
             metrics.leaders_by.inc(label);
             result.map(|value| Served { value, role: Role::Leader, key_version })
         } else {
-            let result = if is_scheduled() {
-                slot.wait_scheduled()
-            } else {
-                slot.wait_blocking()
-            };
+            let result = slot.wait();
             metrics.followers.inc();
             metrics.followers_by.inc(label);
             result.map(|value| Served { value, role: Role::Follower, key_version })

@@ -50,14 +50,13 @@ pub mod batch;
 pub mod flight;
 pub mod replay;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Condvar, Mutex};
 use uc_catalog::service::resolve::ResolvedSecurable;
 use uc_catalog::service::{Context, UnityCatalog};
 use uc_catalog::{Entity, FullName, UcError, UcResult, Uid};
-use uc_cloudstore::sched::yield_point;
+use uc_cloudstore::sched::{is_scheduled, yield_point};
 use uc_obs::{Counter, CounterFamily, Gauge, Histogram, HistogramFamily, Obs};
 
 /// Scheduler yield points owned by the serving plane. Constants so the
@@ -110,8 +109,6 @@ pub struct ServeConfig {
     pub batch_queue_capacity: usize,
     /// Single-flight coalescing on/off (off = the uncoalesced bench arm).
     pub coalesce: bool,
-    /// Combining batch dispatch on/off.
-    pub batch: bool,
     pub retry: RetryPolicy,
 }
 
@@ -122,7 +119,6 @@ impl Default for ServeConfig {
             max_batch: 16,
             batch_queue_capacity: 1024,
             coalesce: true,
-            batch: true,
             retry: RetryPolicy::default(),
         }
     }
@@ -147,6 +143,51 @@ pub struct Served<T> {
     /// time. Read-your-snapshot invariant: this is never below the
     /// version the caller observed before submitting.
     pub key_version: u64,
+}
+
+/// A result slot one execution publishes into and its waiters read: a
+/// coalesced flight's followers ([`flight`]) or the requests of a
+/// combined batch ([`batch`]).
+pub(crate) struct Slot<T> {
+    state: Mutex<Option<UcResult<T>>>,
+    done: Condvar,
+}
+
+impl<T: Clone> Slot<T> {
+    pub(crate) fn new() -> Slot<T> {
+        Slot { state: Mutex::new(None), done: Condvar::new() }
+    }
+
+    /// Publish the result and wake every waiter.
+    pub(crate) fn publish(&self, result: UcResult<T>) {
+        let mut state = self.state.lock();
+        *state = Some(result);
+        self.done.notify_all();
+    }
+
+    /// Wait for the published result. Under the deterministic scheduler
+    /// (where blocking a thread would wedge the baton hand-off) waiters
+    /// yield between non-blocking probes, so the explorer controls
+    /// exactly when the publisher runs; under real threading they block
+    /// on the condvar.
+    pub(crate) fn wait(&self) -> UcResult<T> {
+        if is_scheduled() {
+            loop {
+                let published = self.state.lock().clone();
+                if let Some(result) = published {
+                    return result;
+                }
+                yield_point(points::SERVE_DISPATCH);
+            }
+        }
+        let mut state = self.state.lock();
+        loop {
+            if let Some(result) = &*state {
+                return result.clone();
+            }
+            self.done.wait(&mut state);
+        }
+    }
 }
 
 /// The serving plane's instruments, all riding the PR-7 dimensional
@@ -199,10 +240,6 @@ pub struct ServePlane {
     admission: admission::Admission,
     flights: flight::FlightMap,
     batcher: batch::Batcher,
-    /// Tenant aliases for metric labels, mirroring the catalog's scheme
-    /// (`t=<alias>,p=<principal>`); registered by the host, uid-free so
-    /// labeled snapshots stay byte-stable across runs.
-    aliases: RwLock<HashMap<Uid, Arc<str>>>,
 }
 
 impl ServePlane {
@@ -213,7 +250,6 @@ impl ServePlane {
             admission: admission::Admission::new(),
             flights: flight::FlightMap::new(),
             batcher: batch::Batcher::new(),
-            aliases: RwLock::new(HashMap::new()),
             uc,
             cfg,
         }
@@ -227,25 +263,6 @@ impl ServePlane {
         &self.uc
     }
 
-    /// Register the human-readable alias rendered into this metastore's
-    /// serve metric labels (idempotent; call alongside `create_metastore`).
-    pub fn register_tenant(&self, ms: &Uid, alias: &str) {
-        let alias: Arc<str> = Arc::from(uc_obs::sanitize_label_value(alias));
-        self.aliases.write().insert(ms.clone(), alias);
-    }
-
-    /// The `t=<alias>,p=<principal>` tenant label for a request.
-    pub(crate) fn tenant_label(&self, ms: &Uid, principal: &str) -> Arc<str> {
-        let alias = {
-            let aliases = self.aliases.read();
-            aliases.get(ms).cloned()
-        };
-        match alias {
-            Some(a) => Arc::from(format!("t={a},p={}", uc_obs::sanitize_label_value(principal))),
-            None => Arc::from(format!("t=~,p={}", uc_obs::sanitize_label_value(principal))),
-        }
-    }
-
     /// Admit or shed one request; on admit the returned guard holds the
     /// tenant's slot until dropped. Shedding audits a deny and returns
     /// the typed 429 error — never a silent drop.
@@ -256,7 +273,7 @@ impl ServePlane {
         what: &str,
     ) -> UcResult<admission::AdmissionGuard<'_>> {
         yield_point(points::SERVE_ENQUEUE);
-        let label = self.tenant_label(ms, principal);
+        let label = self.uc.tenant_label(Some(ms), principal);
         match self.admission.try_admit(
             ms,
             principal,
@@ -294,7 +311,7 @@ impl ServePlane {
             return Ok(Served { value, role: Role::Leader, key_version: 0 });
         }
         let key_version = self.uc.metastore_cache_version(ms);
-        let label = self.tenant_label(ms, &ctx.principal);
+        let label = self.uc.tenant_label(Some(ms), &ctx.principal);
         self.flights.serve(
             &self.uc,
             &self.metrics,
@@ -335,12 +352,7 @@ impl ServePlane {
         want_credentials: bool,
     ) -> UcResult<Served<Vec<ResolvedSecurable>>> {
         let _slot = self.admit(ms, &ctx.principal, "resolve")?;
-        if !self.cfg.batch {
-            yield_point(points::SERVE_DISPATCH);
-            let value = self.uc.resolve_for_query(ctx, ms, &refs, want_credentials)?;
-            return Ok(Served { value, role: Role::Leader, key_version: 0 });
-        }
-        let label = self.tenant_label(ms, &ctx.principal);
+        let label = self.uc.tenant_label(Some(ms), &ctx.principal);
         self.batcher.serve(
             &self.uc,
             &self.cfg,

@@ -218,7 +218,7 @@ pub fn run_with(
         }
         for ((tenant, key), n) in get_groups {
             let ctx = binding.context(tenant);
-            let label = plane.tenant_label(&binding.ms, &ctx.principal);
+            let label = plane.catalog().tenant_label(Some(&binding.ms), &ctx.principal);
             let name = pick(&binding.tables, tenant, key);
             let get = || plane.catalog().get_table(ctx, &binding.ms, name).is_err();
             report.errors += if plane.config().coalesce {
@@ -256,10 +256,9 @@ pub fn run_with(
                 None => resolve_groups.push((arrival.tenant, vec![refs])),
             }
         }
-        let chunk_len = if plane.config().batch { plane.config().max_batch.max(1) } else { 1 };
         for (tenant, items) in resolve_groups {
             let ctx = binding.context(tenant);
-            for chunk in items.chunks(chunk_len) {
+            for chunk in items.chunks(plane.config().max_batch.max(1)) {
                 let chunk: Vec<&[FullName]> = chunk.iter().map(Vec::as_slice).collect();
                 report.batches += 1;
                 report.batch_items += chunk.len() as u64;

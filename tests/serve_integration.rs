@@ -121,7 +121,6 @@ fn counter(uc: &UnityCatalog, name: &str) -> u64 {
 fn racing_get_tables_coalesce_exactly_once() {
     let world = miss_world();
     let plane = Arc::new(ServePlane::new(world.uc.clone(), ServeConfig::default()));
-    plane.register_tenant(&world.ms, "serve");
     let ctx = world.admin();
 
     // Calibrate: one uncontended call's database read count (the chain
@@ -186,7 +185,6 @@ fn shed_is_audited_and_maps_to_429() {
         uc.clone(),
         ServeConfig { queue_capacity: 0, ..ServeConfig::default() },
     );
-    plane.register_tenant(&ms, "serve");
     let ctx = Context::user(ADMIN);
 
     let err = plane.get_table(&ctx, &ms, "main.s.t0").unwrap_err();
@@ -220,7 +218,6 @@ fn retry_backoff_is_bounded_and_virtual() {
             ..ServeConfig::default()
         },
     );
-    plane.register_tenant(&ms, "serve");
     let ctx = Context::user(ADMIN);
     let t0 = uc.clock().now_ms();
     let err = plane.get_table_with_retry(&ctx, &ms, "main.s.t0").unwrap_err();
@@ -244,7 +241,6 @@ fn replay_fixture(
 ) -> (Arc<UnityCatalog>, ServePlane, Schedule, ReplayBinding) {
     let (uc, ms) = manual_world(false);
     let plane = ServePlane::new(uc.clone(), ServeConfig { queue_capacity: 8, ..cfg });
-    plane.register_tenant(&ms, "serve");
     let mut params = OpenLoopParams::fig5(42, 60_000.0);
     params.horizon_ms = 50;
     params.tenants = 2;
@@ -400,7 +396,6 @@ fn replay_uncoalesced_counts_every_failed_call() {
 fn invalidation_advances_the_flight_key_version() {
     let (uc, ms) = manual_world(true);
     let plane = ServePlane::new(uc.clone(), ServeConfig::default());
-    plane.register_tenant(&ms, "serve");
     let ctx = Context::user(ADMIN);
 
     let v0 = uc.metastore_cache_version(&ms);
@@ -458,7 +453,6 @@ fn invalidation_advances_the_flight_key_version() {
 fn batched_resolves_split_correctly() {
     let world = miss_world();
     let plane = Arc::new(ServePlane::new(world.uc.clone(), ServeConfig::default()));
-    plane.register_tenant(&world.ms, "serve");
     let ctx = world.admin();
 
     const N: usize = 12;
